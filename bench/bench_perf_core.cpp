@@ -169,6 +169,29 @@ void BM_TuneLibrary(benchmark::State& state) {
 }
 BENCHMARK(BM_TuneLibrary) SCT_THREAD_ARGS;
 
+// The small MCU subject shared by the STA and synthesis benchmarks.
+netlist::Design smallMcu() {
+  netlist::McuConfig small;
+  small.registers = 16;
+  small.timers = 2;
+  small.dmaChannels = 1;
+  small.gpioWidth = 32;
+  small.cacheTagEntries = 32;
+  small.macUnits = 1;
+  return netlist::generateMcu(small);
+}
+
+// Shared mapped MCU for the synthesis-loop benchmarks (built once).
+const synth::SynthesisResult& mappedMcu(const liberty::Library& lib) {
+  static const synth::SynthesisResult result = [&] {
+    synth::Synthesizer synth(lib);
+    sta::ClockSpec c;
+    c.period = 8.0;
+    return synth.run(smallMcu(), c);
+  }();
+  return result;
+}
+
 void BM_FullDesignSta(benchmark::State& state) {
   static const charlib::Characterizer chr(smallCharConfig());
   static const liberty::Library lib =
@@ -177,16 +200,9 @@ void BM_FullDesignSta(benchmark::State& state) {
   clock.period = 8.0;
   static const synth::SynthesisResult result = [&] {
     synth::Synthesizer synth(lib);
-    netlist::McuConfig small;
-    small.registers = 16;
-    small.timers = 2;
-    small.dmaChannels = 1;
-    small.gpioWidth = 32;
-    small.cacheTagEntries = 32;
-    small.macUnits = 1;
     sta::ClockSpec c;
     c.period = 8.0;
-    return synth.run(netlist::generateMcu(small), c);
+    return synth.run(smallMcu(), c);
   }();
   sta::TimingAnalyzer analyzer(result.design, lib, clock);
   for (auto _ : state) {
@@ -198,81 +214,28 @@ void BM_FullDesignSta(benchmark::State& state) {
 }
 BENCHMARK(BM_FullDesignSta);
 
-// Shared mapped MCU for the synthesis-loop benchmarks (built once).
-const synth::SynthesisResult& mappedMcu(const liberty::Library& lib) {
-  static const synth::SynthesisResult result = [&] {
-    synth::Synthesizer synth(lib);
-    netlist::McuConfig small;
-    small.registers = 16;
-    small.timers = 2;
-    small.dmaChannels = 1;
-    small.gpioWidth = 32;
-    small.cacheTagEntries = 32;
-    small.macUnits = 1;
-    sta::ClockSpec c;
-    c.period = 8.0;
-    return synth.run(netlist::generateMcu(small), c);
-  }();
-  return result;
-}
-
-void BM_LevelBatchedSta(benchmark::State& state) {
-  // Full-design analyze with the level-batched propagation toggled:
-  // batched=0 is the scalar per-instance sweep, batched=1 drains each level
-  // through one flat arc-evaluation loop. Same bits either way.
-  static const charlib::Characterizer chr(smallCharConfig());
-  static const liberty::Library lib =
-      chr.characterizeNominal(charlib::ProcessCorner::typical());
-  sta::ClockSpec clock;
-  clock.period = 8.0;
-  const synth::SynthesisResult& result = mappedMcu(lib);
-  sta::TimingAnalyzer analyzer(result.design, lib, clock);
-  analyzer.setLevelBatchedPropagation(state.range(0) != 0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.analyze());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(result.design.gateCount()));
-}
-BENCHMARK(BM_LevelBatchedSta)->ArgName("batched")->Arg(0)->Arg(1);
-
 void BM_SynthesisOptimize(benchmark::State& state) {
-  // The whole mapping + optimization flow at MCU size; incremental=0 forces
-  // a full re-analysis per optimization pass (the pre-incremental
-  // behaviour), incremental=1 uses the notify/update API.
+  // The whole mapping + optimization flow at MCU size, re-timing through
+  // the incremental notify/update API after every pass.
   static const charlib::Characterizer chr(smallCharConfig());
   static const liberty::Library lib =
       chr.characterizeNominal(charlib::ProcessCorner::typical());
-  static const netlist::Design subject = [] {
-    netlist::McuConfig small;
-    small.registers = 16;
-    small.timers = 2;
-    small.dmaChannels = 1;
-    small.gpioWidth = 32;
-    small.cacheTagEntries = 32;
-    small.macUnits = 1;
-    return netlist::generateMcu(small);
-  }();
+  static const netlist::Design subject = smallMcu();
   const synth::Synthesizer synth(lib);
   sta::ClockSpec clock;
   clock.period = 8.0;
-  synth::SynthesisOptions options;
-  options.incrementalSta = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(synth.run(subject, clock, options));
+    benchmark::DoNotOptimize(synth.run(subject, clock));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(subject.gateCount()));
 }
-BENCHMARK(BM_SynthesisOptimize)->ArgName("incremental")->Arg(0)->Arg(1);
+BENCHMARK(BM_SynthesisOptimize);
 
 void BM_SynthesisConstrained(benchmark::State& state) {
-  // Window-constrained mapping: every legality query hits the constraint
-  // lookup. compiled=0 pays the two-map string path per query, compiled=1
-  // answers from the slot-interned CompiledConstraintView; results are
-  // bit-identical either way (asserted by synth_test).
+  // Window-constrained mapping: every legality query is answered by the
+  // slot-interned CompiledConstraintView.
   static const charlib::Characterizer chr(smallCharConfig());
   static const liberty::Library lib =
       chr.characterizeNominal(charlib::ProcessCorner::typical());
@@ -282,29 +245,18 @@ void BM_SynthesisConstrained(benchmark::State& state) {
       stat,
       tuning::TuningConfig::forMethod(tuning::TuningMethod::kCellLoadSlope,
                                       0.03));
-  static const netlist::Design subject = [] {
-    netlist::McuConfig small;
-    small.registers = 16;
-    small.timers = 2;
-    small.dmaChannels = 1;
-    small.gpioWidth = 32;
-    small.cacheTagEntries = 32;
-    small.macUnits = 1;
-    return netlist::generateMcu(small);
-  }();
+  static const netlist::Design subject = smallMcu();
   const synth::Synthesizer synth(lib, &constraints);
   sta::ClockSpec clock;
   clock.period = 8.0;
-  synth::SynthesisOptions options;
-  options.compiledConstraintWindows = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(synth.run(subject, clock, options));
+    benchmark::DoNotOptimize(synth.run(subject, clock));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(subject.gateCount()));
 }
-BENCHMARK(BM_SynthesisConstrained)->ArgName("compiled")->Arg(0)->Arg(1);
+BENCHMARK(BM_SynthesisConstrained);
 
 void BM_IncrementalSta(benchmark::State& state) {
   // Steady-state cost of one sizing move: rebind a cell, notify, update.
@@ -394,16 +346,9 @@ void BM_Ssta(benchmark::State& state) {
   clock.period = 8.0;
   static const synth::SynthesisResult result = [&] {
     synth::Synthesizer synth(lib);
-    netlist::McuConfig small;
-    small.registers = 16;
-    small.timers = 2;
-    small.dmaChannels = 1;
-    small.gpioWidth = 32;
-    small.cacheTagEntries = 32;
-    small.macUnits = 1;
     sta::ClockSpec c;
     c.period = 8.0;
-    return synth.run(netlist::generateMcu(small), c);
+    return synth.run(smallMcu(), c);
   }();
   sta::TimingAnalyzer analyzer(result.design, lib, clock);
   analyzer.analyze();
@@ -417,16 +362,7 @@ void BM_Ssta(benchmark::State& state) {
 BENCHMARK(BM_Ssta);
 
 void BM_LogicSimulationStep(benchmark::State& state) {
-  static const netlist::Design mcu = [] {
-    netlist::McuConfig small;
-    small.registers = 16;
-    small.timers = 2;
-    small.dmaChannels = 1;
-    small.gpioWidth = 32;
-    small.cacheTagEntries = 32;
-    small.macUnits = 1;
-    return netlist::generateMcu(small);
-  }();
+  static const netlist::Design mcu = smallMcu();
   netlist::Simulator sim(mcu);
   sim.reset();
   sim.setInputBus("sram_rdata", 0xDEADBEEF);

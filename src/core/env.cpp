@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace sct::env {
 
@@ -10,32 +11,60 @@ std::optional<std::string> get(const char* name) {
   return value != nullptr ? std::optional<std::string>(value) : std::nullopt;
 }
 
-std::size_t parseSize(std::string_view what, std::string_view value,
-                      std::size_t fallback, std::size_t max) noexcept {
-  if (value.empty()) return fallback;
-  std::size_t parsed = 0;
+namespace {
+
+enum class Digits { kOk, kInvalid, kOutOfRange };
+
+/// Digits-only base-10 parse bounded by `max`; `out` is set on kOk.
+Digits parseDigits(std::string_view value, std::uint64_t max,
+                   std::uint64_t& out) noexcept {
+  std::uint64_t parsed = 0;
   for (const char ch : value) {
-    if (ch < '0' || ch > '9') {
-      std::fprintf(stderr,
-                   "sct: ignoring invalid %.*s '%.*s' "
-                   "(want a non-negative count); using %zu\n",
-                   static_cast<int>(what.size()), what.data(),
-                   static_cast<int>(value.size()), value.data(), fallback);
-      return fallback;
-    }
-    const std::size_t digit = static_cast<std::size_t>(ch - '0');
+    if (ch < '0' || ch > '9') return Digits::kInvalid;
+    const std::uint64_t digit = static_cast<std::uint64_t>(ch - '0');
     // Overflow-safe accumulate: reject before the multiply can wrap.
     if (parsed > max / 10 || parsed * 10 > max - digit) {
-      std::fprintf(stderr,
-                   "sct: %.*s '%.*s' out of range (max %zu); using %zu\n",
-                   static_cast<int>(what.size()), what.data(),
-                   static_cast<int>(value.size()), value.data(), max,
-                   fallback);
-      return fallback;
+      return Digits::kOutOfRange;
     }
     parsed = parsed * 10 + digit;
   }
-  return parsed;
+  out = parsed;
+  return Digits::kOk;
+}
+
+}  // namespace
+
+std::size_t parseSize(std::string_view what, std::string_view value,
+                      std::size_t fallback, std::size_t max) noexcept {
+  if (value.empty()) return fallback;
+  std::uint64_t parsed = 0;
+  const Digits status = parseDigits(value, max, parsed);
+  if (status == Digits::kOk) return static_cast<std::size_t>(parsed);
+  if (status == Digits::kInvalid) {
+    std::fprintf(stderr,
+                 "sct: ignoring invalid %.*s '%.*s' "
+                 "(want a non-negative count); using %zu\n",
+                 static_cast<int>(what.size()), what.data(),
+                 static_cast<int>(value.size()), value.data(), fallback);
+  } else {
+    std::fprintf(stderr, "sct: %.*s '%.*s' out of range (max %zu); using %zu\n",
+                 static_cast<int>(what.size()), what.data(),
+                 static_cast<int>(value.size()), value.data(), max, fallback);
+  }
+  return fallback;
+}
+
+std::uint64_t parseCount(std::string_view what, std::string_view value,
+                         std::uint64_t max) {
+  std::uint64_t parsed = 0;
+  const Digits status =
+      value.empty() ? Digits::kInvalid : parseDigits(value, max, parsed);
+  if (status == Digits::kOk) return parsed;
+  std::string message = std::string(what) + " '" + std::string(value) + "'";
+  message += status == Digits::kInvalid
+                 ? ": want a non-negative count"
+                 : ": out of range (max " + std::to_string(max) + ")";
+  throw std::invalid_argument(message);
 }
 
 bool parseFlag(std::string_view what, std::string_view value,

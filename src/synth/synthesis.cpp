@@ -69,13 +69,11 @@ namespace {
 /// Working state of one synthesis run.
 class Session {
  public:
-  Session(const Synthesizer& synth, const tuning::LibraryConstraints* constraints,
-          Design& design, const sta::ClockSpec& clock,
-          const SynthesisOptions& options, SynthesisResult& result)
+  Session(const Synthesizer& synth, Design& design,
+          const sta::ClockSpec& clock, const SynthesisOptions& options,
+          SynthesisResult& result)
       : synth_(synth),
-        constraints_(constraints),
-        view_(options.compiledConstraintWindows ? synth.compiledConstraints()
-                                                : nullptr),
+        view_(synth.compiledConstraints()),
         design_(design),
         options_(options),
         result_(result),
@@ -87,16 +85,11 @@ class Session {
 
  private:
   // --- constraint helpers ---------------------------------------------------
-  /// Tuned window of a cell's output slot; nullptr when unconstrained. Hot
-  /// path goes through the slot-interned compiled view (one pointer hash);
-  /// the string fallback is the benchmark baseline.
+  /// Tuned window of a cell's output slot; nullptr when unconstrained.
+  /// Answered by the slot-interned compiled view (one pointer hash).
   [[nodiscard]] const PinWindow* windowOf(const Cell& cell,
                                           std::uint32_t outSlot) const {
-    if (view_ != nullptr) return view_->window(cell, outSlot);
-    if (constraints_ == nullptr) return nullptr;
-    slow_ = constraints_->window(
-        cell.name(), liberty::outputNames(cell.function())[outSlot]);
-    return slow_ ? &*slow_ : nullptr;
+    return view_ ? view_->window(cell, outSlot) : nullptr;
   }
 
   /// Max load the cell may drive on this output slot (electrical + window).
@@ -254,15 +247,12 @@ class Session {
     ++result_.resizes;
   }
 
-  /// Brings the analyzer up to date at a pass boundary: incrementally
-  /// (draining the edits the previous pass recorded) or from scratch when
-  /// options disable the incremental path. With SCT_STA_CHECK=1 every
-  /// incremental refresh is cross-checked against a fresh full analysis.
+  /// Brings the analyzer up to date at a pass boundary by draining the
+  /// edits the previous pass recorded. With SCT_STA_CHECK=1 every refresh
+  /// is cross-checked against a fresh full analysis.
   bool refreshTiming() {
-    const bool ok =
-        options_.incrementalSta ? analyzer_.update() : analyzer_.analyze();
-    if (ok && options_.incrementalSta &&
-        sta::TimingAnalyzer::crossCheckEnabled()) {
+    const bool ok = analyzer_.update();
+    if (ok && sta::TimingAnalyzer::crossCheckEnabled()) {
       const std::string diff = analyzer_.diffAgainstReference();
       if (!diff.empty()) {
         std::fprintf(stderr,
@@ -284,11 +274,7 @@ class Session {
   [[nodiscard]] const Cell* bufferCellFor(double load) const;
 
   const Synthesizer& synth_;
-  const tuning::LibraryConstraints* constraints_;
   const tuning::CompiledConstraintView* view_;
-  /// Scratch for the string-path fallback of windowOf (Session is
-  /// single-threaded; the pointer it returns is consumed immediately).
-  mutable std::optional<PinWindow> slow_;
   Design& design_;
   const SynthesisOptions& options_;
   SynthesisResult& result_;
@@ -643,7 +629,7 @@ SynthesisResult Synthesizer::run(const Design& subject,
                                  const SynthesisOptions& options) const {
   SynthesisResult result;
   result.design = subject;  // work on a copy
-  Session session(*this, constraints_, result.design, clock, options, result);
+  Session session(*this, result.design, clock, options, result);
   if (!session.mapInitial()) {
     result.timingMet = false;
     result.legal = false;

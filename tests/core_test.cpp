@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/env.hpp"
 #include "core/flow.hpp"
@@ -184,6 +186,28 @@ TEST(EnvParse, ParseSizeWarnsAndFallsBackOnGarbage) {
 TEST(EnvParse, ParseSizeRejectsOverMaxAndOverflow) {
   EXPECT_EQ(env::parseSize("test", "4097", 9, 4096), 9u);
   EXPECT_EQ(env::parseSize("test", "99999999999999999999999999", 9), 9u);
+}
+
+TEST(EnvParse, ParseCountAcceptsDigitsUpToMax) {
+  EXPECT_EQ(env::parseCount("--n", "0"), 0u);
+  EXPECT_EQ(env::parseCount("--n", "65535", 65535), 65535u);
+  EXPECT_EQ(env::parseCount("--n", "18446744073709551615"),
+            18446744073709551615ull);
+}
+
+TEST(EnvParse, ParseCountThrowsNamingTheFlag) {
+  for (const char* bad : {"", "-1", "12abc", "+4", " 8", "0x10", "4.5"}) {
+    try {
+      (void)env::parseCount("--max-bytes", bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--max-bytes"), std::string::npos);
+    }
+  }
+  EXPECT_THROW((void)env::parseCount("--tcp-port", "70000", 65535),
+               std::invalid_argument);
+  EXPECT_THROW((void)env::parseCount("--n", "18446744073709551616"),
+               std::invalid_argument);
 }
 
 TEST(EnvParse, ParseFlagRecognizesCommonSpellings) {

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "charlib/characterizer.hpp"
+#include "liberty/function.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/mcu.hpp"
 #include "statlib/stat_library.hpp"
@@ -340,34 +341,34 @@ TEST_F(SynthesisTest, RespectsTunedWindows) {
 }
 
 TEST_F(SynthesisTest, CompiledWindowsMatchStringLookupBitForBit) {
-  // The slot-interned CompiledConstraintView is a pure lookup optimization:
-  // toggling it must not change a single mapping decision.
+  // The slot-interned CompiledConstraintView is the only window lookup
+  // synthesis uses, so it must answer exactly what the string form answers,
+  // for every cell and every output slot.
   const tuning::LibraryConstraints constraints = tuning::tuneLibrary(
       *stat_,
       tuning::TuningConfig::forMethod(tuning::TuningMethod::kCellLoadSlope,
                                       0.03));
-  const Synthesizer synth(*lib_, &constraints);
-  const Design subject = netlist::generateAccumulator(16);
-  sta::ClockSpec clock;
-  clock.period = 6.0;
-
-  SynthesisOptions compiled;
-  compiled.compiledConstraintWindows = true;
-  SynthesisOptions stringPath;
-  stringPath.compiledConstraintWindows = false;
-  const SynthesisResult a = synth.run(subject, clock, compiled);
-  const SynthesisResult b = synth.run(subject, clock, stringPath);
-
-  EXPECT_EQ(a.timingMet, b.timingMet);
-  EXPECT_EQ(a.legal, b.legal);
-  EXPECT_EQ(a.worstSlack, b.worstSlack);
-  EXPECT_EQ(a.tns, b.tns);
-  EXPECT_EQ(a.area, b.area);
-  EXPECT_EQ(a.passes, b.passes);
-  EXPECT_EQ(a.buffersInserted, b.buffersInserted);
-  EXPECT_EQ(a.resizes, b.resizes);
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.cellUsage(), b.cellUsage());
+  const tuning::CompiledConstraintView view(constraints, *lib_);
+  std::size_t windows = 0;
+  for (const liberty::Cell* cell : lib_->cells()) {
+    EXPECT_EQ(view.usable(*cell), constraints.cellUsable(cell->name()))
+        << cell->name();
+    const auto pins = liberty::outputNames(cell->function());
+    for (std::size_t slot = 0; slot < pins.size() && !pins[slot].empty();
+         ++slot) {
+      const tuning::PinWindow* compiled = view.window(*cell, slot);
+      const auto byName = constraints.window(cell->name(), pins[slot]);
+      ASSERT_EQ(compiled == nullptr, !byName.has_value())
+          << cell->name() << "/" << pins[slot];
+      if (!byName) continue;
+      ++windows;
+      EXPECT_EQ(compiled->minSlew, byName->minSlew) << cell->name();
+      EXPECT_EQ(compiled->maxSlew, byName->maxSlew) << cell->name();
+      EXPECT_EQ(compiled->minLoad, byName->minLoad) << cell->name();
+      EXPECT_EQ(compiled->maxLoad, byName->maxLoad) << cell->name();
+    }
+  }
+  EXPECT_GT(windows, 0u);
 }
 
 TEST_F(SynthesisTest, CompiledViewMirrorsConstraintSemantics) {
@@ -388,15 +389,21 @@ TEST_F(SynthesisTest, CompiledViewMirrorsConstraintSemantics) {
   const tuning::CompiledConstraintView view(constraints, *lib_);
   EXPECT_FALSE(view.usable(*killed));
   for (const liberty::Cell* cell : lib_->cells()) {
-    if (cell->function() == liberty::CellFunction::kMux2) continue;
-    EXPECT_TRUE(view.usable(*cell)) << cell->name();
-    const tuning::PinWindow* slot = view.window(*cell, 0);
-    const auto byName = constraints.window(cell->name(), "Z");
-    if (byName) {
-      ASSERT_NE(slot, nullptr) << cell->name();
-      EXPECT_EQ(slot->maxLoad, byName->maxLoad);
-      EXPECT_EQ(slot->maxSlew, byName->maxSlew);
-      EXPECT_EQ(slot->minLoad, byName->minLoad);
+    EXPECT_EQ(view.usable(*cell),
+              cell->function() != liberty::CellFunction::kMux2)
+        << cell->name();
+    const auto pins = liberty::outputNames(cell->function());
+    for (std::size_t slot = 0; slot < pins.size() && !pins[slot].empty();
+         ++slot) {
+      const tuning::PinWindow* compiled = view.window(*cell, slot);
+      const auto byName = constraints.window(cell->name(), pins[slot]);
+      ASSERT_EQ(compiled == nullptr, !byName.has_value())
+          << cell->name() << "/" << pins[slot];
+      if (!byName) continue;
+      EXPECT_EQ(compiled->minSlew, byName->minSlew) << cell->name();
+      EXPECT_EQ(compiled->maxSlew, byName->maxSlew) << cell->name();
+      EXPECT_EQ(compiled->minLoad, byName->minLoad) << cell->name();
+      EXPECT_EQ(compiled->maxLoad, byName->maxLoad) << cell->name();
     }
   }
 }

@@ -36,6 +36,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <map>
 #include <optional>
@@ -108,10 +109,13 @@ class Args {
   [[nodiscard]] double requireDouble(const std::string& key) const {
     return std::stod(require(key));
   }
-  [[nodiscard]] std::uint64_t getUint(const std::string& key,
-                                      std::uint64_t fallback) const {
+  /// Strict digits-only count (env::parseCount); garbage, a sign or a value
+  /// above `max` throws naming the flag.
+  [[nodiscard]] std::uint64_t getUint(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const {
     const auto v = get(key);
-    return v ? std::stoull(*v) : fallback;
+    return v ? env::parseCount("--" + key, *v, max) : fallback;
   }
 
  private:
@@ -480,7 +484,8 @@ core::FlowConfig makeFlowConfigFor(const core::FlowJob& job,
   if (args.has("no-mem-cache")) {
     config.memCacheBytes = 0;
   } else {
-    config.memCacheBytes = args.getUint("mem-cache-mb", 64) << 20;
+    config.memCacheBytes =
+        args.getUint("mem-cache-mb", 64, env::kMaxMebibytes) << 20;
   }
   return config;
 }
@@ -634,10 +639,10 @@ int cmdCacheStats(const Args& args) {
 }
 
 int cmdCacheGc(const Args& args) {
-  artifact::ArtifactStore store(cacheRoot(args));
   artifact::GcPolicy policy;
   policy.maxBytes = args.getUint("max-bytes", 0);
   policy.maxAgeSeconds = args.getUint("max-age", 0);
+  artifact::ArtifactStore store(cacheRoot(args));
   const artifact::GcResult r = store.gc(policy);
   if (args.has("json")) {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -664,8 +669,8 @@ int cmdCacheGc(const Args& args) {
 /// the SCT_SOCKET variable) or --tcp-port (127.0.0.1 loopback).
 server::Client connectClient(const Args& args) {
   if (const auto port = args.get("tcp-port")) {
-    return server::Client::connectTcp(
-        static_cast<std::uint16_t>(std::stoul(*port)));
+    return server::Client::connectTcp(static_cast<std::uint16_t>(
+        env::parseCount("--tcp-port", *port, UINT16_MAX)));
   }
   if (const auto path = args.get("socket")) {
     return server::Client::connectUnix(*path);

@@ -109,7 +109,8 @@ int main(int argc, char** argv) {
     }
     if (const auto port = get(args, "tcp-port")) {
       config.tcpEnable = true;
-      config.tcpPort = static_cast<std::uint16_t>(std::stoul(*port));
+      config.tcpPort = static_cast<std::uint16_t>(
+          env::parseCount("--tcp-port", *port, UINT16_MAX));
     } else if (args.contains("tcp")) {
       config.tcpEnable = true;  // ephemeral port, printed below
     }
@@ -118,10 +119,10 @@ int main(int argc, char** argv) {
       return usage();
     }
     if (const auto threads = get(args, "session-threads")) {
-      config.sessionThreads = std::stoul(*threads);
+      config.sessionThreads = env::parseCount("--session-threads", *threads);
     }
     if (const auto queue = get(args, "max-queue")) {
-      config.maxQueuedSessions = std::stoul(*queue);
+      config.maxQueuedSessions = env::parseCount("--max-queue", *queue);
     }
     if (const auto dir = get(args, "cache-dir")) {
       config.service.cacheDir = *dir;
@@ -129,7 +130,8 @@ int main(int argc, char** argv) {
       config.service.cacheDir = *env;
     }
     if (const auto mb = get(args, "mem-cache-mb")) {
-      config.service.memCacheBytes = std::stoull(*mb) << 20;
+      config.service.memCacheBytes =
+          env::parseCount("--mem-cache-mb", *mb, env::kMaxMebibytes) << 20;
     }
     if (const auto threads = get(args, "threads")) {
       const std::size_t hw = std::thread::hardware_concurrency();
