@@ -1,5 +1,7 @@
 #include "core/env.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -65,6 +67,15 @@ std::uint64_t parseCount(std::string_view what, std::string_view value,
                  ? ": want a non-negative count"
                  : ": out of range (max " + std::to_string(max) + ")";
   throw std::invalid_argument(message);
+}
+
+double parseReal(std::string_view what, std::string_view value) {
+  double parsed = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  if (ec == std::errc() && ptr == end && std::isfinite(parsed)) return parsed;
+  throw std::invalid_argument(std::string(what) + " '" + std::string(value) +
+                              "': want a finite number");
 }
 
 bool parseFlag(std::string_view what, std::string_view value,

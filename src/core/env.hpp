@@ -38,6 +38,12 @@ namespace sct::env {
     std::string_view what, std::string_view value,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
+/// Strict command-line real number under parseCount()'s conventions: the
+/// whole token must parse as a decimal or exponent literal (a leading '-' is
+/// allowed, no '+', whitespace, hex or trailing garbage) and the value must
+/// be finite. Bad input throws std::invalid_argument naming `what`.
+[[nodiscard]] double parseReal(std::string_view what, std::string_view value);
+
 /// Largest MiB count whose byte size (count << 20) fits in 64 bits; the
 /// `max` for parseCount() on mebibyte flags.
 inline constexpr std::uint64_t kMaxMebibytes =

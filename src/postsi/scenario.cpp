@@ -60,19 +60,25 @@ double mappedArea(const netlist::Design& design) {
   return area;
 }
 
-artifact::Digest cellKey(const ScenarioJob& job, const std::string& scenario,
-                         double period, std::size_t trials) {
+/// Version of the cell-key layout below; bumped when the key's inputs
+/// change, so entries stored under an older (looser) key are never served.
+constexpr std::uint32_t kCellKeyVersion = 2;
+
+/// Everything a cell depends on: the flow's measurement context at this
+/// period (subject and workload, library and MC configuration, clock, power
+/// model), the tuning method, the scenario and its post-silicon knobs.
+artifact::Digest cellKey(const core::TuningFlow& flow, const ScenarioJob& job,
+                         const std::string& scenario, double period,
+                         std::size_t trials) {
+  const artifact::Digest context = flow.measurementContextDigest(period);
   artifact::Hasher hasher;
   hasher.str("sct-scenario");
-  hasher.u32(kScenarioSchema);
-  hasher.str(job.flow.profile);
+  hasher.u32(kCellKeyVersion);
+  hasher.u64(context.hi).u64(context.lo);
   hasher.str(job.flow.method);
   hasher.f64(job.flow.value);
-  hasher.u64(job.flow.mcCount);
-  hasher.u64(job.flow.mcSeed);
   hasher.str(job.flow.lintMode);
   hasher.str(scenario);
-  hasher.f64(period);
   hasher.f64(job.element.rangeMin);
   hasher.f64(job.element.rangeMax);
   hasher.f64(job.element.step);
@@ -252,7 +258,7 @@ ScenarioRunResult runScenarioJob(core::TuningFlow& flow,
     for (const double period : job.periods) {
       ScenarioCell cell = core::cachedStage<ScenarioCell>(
           flow.cache(), flow.memCache(), stageNameFor(scenario),
-          cellKey(job, scenario, period, trials),
+          cellKey(flow, job, scenario, period, trials),
           [&] { return computeCell(flow, job, scenario, period, trials); },
           encodeCell, decodeCell);
       result.success = result.success && cell.success;

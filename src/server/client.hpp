@@ -31,13 +31,19 @@ class Client {
   [[nodiscard]] Response call(MessageType type,
                               std::span<const std::byte> payload);
 
+  /// One typed round trip: `request` encoded as its kind's payload.
+  template <class R>
+  [[nodiscard]] Response send(const R& request) {
+    return call(R::kType, encodeRequest(request));
+  }
+
   // Typed conveniences.
-  [[nodiscard]] Response flow(const FlowRequest& request);
-  [[nodiscard]] Response scenario(const ScenarioRequest& request);
-  [[nodiscard]] Response evolve(const EvolveRequest& request);
-  [[nodiscard]] Response lint(const LintRequest& request);
-  [[nodiscard]] Response sta(const StaRequest& request);
-  [[nodiscard]] Response ping(const PingRequest& request);
+  [[nodiscard]] Response flow(const FlowRequest& r) { return send(r); }
+  [[nodiscard]] Response scenario(const ScenarioRequest& r) { return send(r); }
+  [[nodiscard]] Response evolve(const EvolveRequest& r) { return send(r); }
+  [[nodiscard]] Response lint(const LintRequest& r) { return send(r); }
+  [[nodiscard]] Response sta(const StaRequest& r) { return send(r); }
+  [[nodiscard]] Response ping(const PingRequest& r) { return send(r); }
   [[nodiscard]] Response health();
   [[nodiscard]] Response shutdown();
 

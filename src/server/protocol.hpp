@@ -18,17 +18,23 @@
 // Responses carry a status + summary + body. Response *bytes are a pure
 // function of the request*: no timestamps, no server identity, no
 // cached/coalesced markers — so a response served from the daemon's response
-// cache is byte-identical to a freshly computed one, and a flow response
-// body is byte-identical to the CLI's `flow --report` file (both render
-// through core::runFlowJob).
+// cache is byte-identical to a freshly computed one, and a flow, scenario or
+// evolve response body is byte-identical to the CLI's --report file for the
+// same request (both run through server::runJob, src/server/jobs.hpp).
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "artifact/binary_format.hpp"
+#include "artifact/hash.hpp"
+#include "clocktree/clock_tree.hpp"
 #include "core/flow_job.hpp"
 #include "evo/params.hpp"
 
@@ -71,69 +77,150 @@ class ProtocolError : public std::runtime_error {
 };
 
 // ---- requests ------------------------------------------------------------
+//
+// Each request struct is the single definition of its kind: static traits
+// (message type, SCTB section name, trace span) and the fields() list below
+// it, in wire order. The list drives the codec (which appends deadlineMillis)
+// and the response-cache key (which leaves it out). A new kind is one struct
+// with its fields(), one TuningService::compute overload, one dispatch case.
+
+/// `T` is `U` or `const U`: one fields() overload serves the encoder (const)
+/// and the decoder (mutable).
+template <class T, class U>
+concept FieldsOf = std::same_as<std::remove_const_t<T>, U>;
+
+/// Wire order of the flow-job fields shared by flow, scenario and evolve
+/// (not the declaration order: workload was appended to the wire last).
+template <FieldsOf<core::FlowJob> J>
+auto fields(J& j) {
+  return std::tie(j.profile, j.period, j.method, j.value, j.mcCount, j.mcSeed,
+                  j.lintMode, j.workload);
+}
+
+template <FieldsOf<evo::EvolveParams> P>
+auto fields(P& p) {
+  return std::tie(p.population, p.generations, p.objectives, p.geneMin,
+                  p.geneMax, p.seed);
+}
+
+template <FieldsOf<clocktree::TuningElementSpec> E>
+auto fields(E& e) {
+  return std::tie(e.rangeMin, e.rangeMax, e.step, e.areaPerElement);
+}
 
 /// Runs the full tuning flow (characterize → stat → tune → synth → measure)
 /// and returns the deterministic "flow-report v1" text as the body.
 struct FlowRequest {
+  static constexpr MessageType kType = MessageType::kFlowRequest;
+  static constexpr const char* kSection = "flow-req";
+  static constexpr const char* kSpan = "server.flow";
   core::FlowJob job;
   std::uint64_t deadlineMillis = 0;  ///< 0 = no deadline
 };
 
+template <FieldsOf<FlowRequest> R>
+auto fields(R& r) { return std::tie(r.job); }
+
 /// Lints one text artifact with the full rule set; body is the text (or
 /// JSON) lint report.
 struct LintRequest {
+  static constexpr MessageType kType = MessageType::kLintRequest;
+  static constexpr const char* kSection = "lint-req";
+  static constexpr const char* kSpan = "server.lint";
   std::string artifactType;  ///< lib | stat | netlist | constraints
   std::string content;       ///< the artifact text itself
   bool json = false;         ///< render the report as JSON instead of text
   std::uint64_t deadlineMillis = 0;
 };
 
+template <FieldsOf<LintRequest> R>
+auto fields(R& r) { return std::tie(r.artifactType, r.content, r.json); }
+
 /// Static timing of a netlist against a library; body is the full timing
 /// report (sta::writeTimingReport).
 struct StaRequest {
+  static constexpr MessageType kType = MessageType::kStaRequest;
+  static constexpr const char* kSection = "sta-req";
+  static constexpr const char* kSpan = "server.sta";
   std::string libraryText;
   std::string netlistText;
   double period = 0.0;
   std::uint64_t deadlineMillis = 0;
 };
 
+template <FieldsOf<StaRequest> R>
+auto fields(R& r) { return std::tie(r.libraryText, r.netlistText, r.period); }
+
 /// Runs the post-silicon scenario matrix (postsi::runScenarioJob); body is
 /// the deterministic "scenario-report v1" text, or the JSON rendering when
 /// `json` is set — both byte-identical to the CLI's output for the same job.
 struct ScenarioRequest {
+  static constexpr MessageType kType = MessageType::kScenarioRequest;
+  static constexpr const char* kSection = "scenario-req";
+  static constexpr const char* kSpan = "server.scenario";
   core::FlowJob job;            ///< flow part (period field unused)
-  std::vector<double> periods;  ///< explicit clock periods [ns]
+  std::vector<double> periods;  ///< explicit clock periods [ns], at most 64
   std::string scenarios = "tuning,clock,buffers";
-  double rangeMin = 0.0;  ///< tuning-element spec, flattened for the wire
-  double rangeMax = 0.3;
-  double step = 0.05;
-  double areaPerElement = 2.0;
+  clocktree::TuningElementSpec element{0.0, 0.3, 0.05, 2.0};
   std::uint64_t mcTrials = 0;  ///< 0 = profile default
   std::uint64_t mcSeed = 2014;
   bool json = false;
   std::uint64_t deadlineMillis = 0;
 };
 
+template <FieldsOf<ScenarioRequest> R>
+auto fields(R& r) {
+  return std::tie(r.job, r.periods, r.scenarios, r.element, r.mcTrials,
+                  r.mcSeed, r.json);
+}
+
 /// Runs the multi-objective evolutionary window tuner (evo::runEvolveJob);
 /// body is the deterministic "evolve-report v1" text, or the JSON rendering
 /// when `json` is set — both byte-identical to `sctune evolve` for the same
 /// job.
 struct EvolveRequest {
+  static constexpr MessageType kType = MessageType::kEvolveRequest;
+  static constexpr const char* kSection = "evolve-req";
+  static constexpr const char* kSpan = "server.evolve";
   core::FlowJob job;  ///< profile/workload/period/mc/lint (method unused)
   evo::EvolveParams params;
   bool json = false;
   std::uint64_t deadlineMillis = 0;
 };
 
+template <FieldsOf<EvolveRequest> R>
+auto fields(R& r) { return std::tie(r.job, r.params, r.json); }
+
 /// Diagnostic echo; sleeps for sleepMillis on the session worker before
-/// answering (load/deadline/admission testing without burning CPU).
+/// answering (load/deadline/admission testing without burning CPU). Never
+/// served from the response cache: every ping sleeps.
 struct PingRequest {
+  static constexpr MessageType kType = MessageType::kPingRequest;
+  static constexpr const char* kSection = "ping-req";
+  static constexpr const char* kSpan = "server.ping";
   std::string echo;
   std::uint64_t sleepMillis = 0;
   std::uint64_t deadlineMillis = 0;
 };
 
+template <FieldsOf<PingRequest> R>
+auto fields(R& r) { return std::tie(r.echo, r.sleepMillis); }
+
 // kHealthRequest and kShutdownRequest carry empty payloads.
+
+/// Calls visit(scalar) for every scalar of `value` in wire order, recursing
+/// through nested fields() lists. The visitors accept exactly the wire
+/// scalars: std::string, double, bool, unsigned integers (u64 on the wire)
+/// and std::vector<double> (a u64 count, then the values).
+template <class T, class Visit>
+void forEachField(T& value, Visit& visit) {
+  if constexpr (requires { fields(value); }) {
+    std::apply([&](auto&... member) { (forEachField(member, visit), ...); },
+               fields(value));
+  } else {
+    visit(value);
+  }
+}
 
 struct Response {
   Status status = Status::kError;
@@ -141,24 +228,97 @@ struct Response {
   std::string body;     ///< full report / JSON document; may be empty
 };
 
-// ---- payload codecs (SCTB containers) ------------------------------------
+// ---- payload codecs (SCTB containers) and the cache key ------------------
 
-[[nodiscard]] std::vector<std::byte> encodeFlowRequest(const FlowRequest& r);
-[[nodiscard]] FlowRequest decodeFlowRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeLintRequest(const LintRequest& r);
-[[nodiscard]] LintRequest decodeLintRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeStaRequest(const StaRequest& r);
-[[nodiscard]] StaRequest decodeStaRequest(std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeScenarioRequest(
-    const ScenarioRequest& r);
-[[nodiscard]] ScenarioRequest decodeScenarioRequest(
-    std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodeEvolveRequest(
-    const EvolveRequest& r);
-[[nodiscard]] EvolveRequest decodeEvolveRequest(
-    std::span<const std::byte> bytes);
-[[nodiscard]] std::vector<std::byte> encodePingRequest(const PingRequest& r);
-[[nodiscard]] PingRequest decodePingRequest(std::span<const std::byte> bytes);
+/// Upper bound on a decoded list field (scenario periods).
+inline constexpr std::uint64_t kMaxListLength = 64;
+
+namespace detail {
+
+/// Feeds every scalar of a field list to an SctbWriter or a Hasher (the two
+/// share the str/f64/u8/u64 feeder names).
+template <class Sink>
+struct FieldWriter {
+  Sink& sink;
+  void operator()(const std::string& v) { sink.str(v); }
+  void operator()(double v) { sink.f64(v); }
+  void operator()(bool v) { sink.u8(v ? 1 : 0); }
+  template <std::unsigned_integral U>
+  void operator()(U v) {
+    sink.u64(v);
+  }
+  void operator()(const std::vector<double>& v) {
+    sink.u64(v.size());
+    for (const double x : v) sink.f64(x);
+  }
+};
+
+struct FieldReader {
+  artifact::SctbReader::Cursor& cursor;
+  void operator()(std::string& v) { v = cursor.str(); }
+  void operator()(double& v) { v = cursor.f64(); }
+  void operator()(bool& v) { v = cursor.boolean(); }
+  template <std::unsigned_integral U>
+  void operator()(U& v) {
+    v = static_cast<U>(cursor.u64());
+  }
+  void operator()(std::vector<double>& v) {
+    const std::uint64_t count = cursor.u64();
+    if (count > kMaxListLength) throw ProtocolError("unreasonable list length");
+    v.resize(static_cast<std::size_t>(count));
+    for (double& x : v) x = cursor.f64();
+  }
+};
+
+/// Validated container holding `section`; throws ProtocolError otherwise.
+[[nodiscard]] artifact::SctbReader readerFor(std::span<const std::byte> bytes,
+                                             const char* section);
+
+}  // namespace detail
+
+/// One SCTB section named R::kSection holding fields(r), then
+/// r.deadlineMillis.
+template <class R>
+[[nodiscard]] std::vector<std::byte> encodeRequest(const R& r) {
+  artifact::SctbWriter writer;
+  writer.beginSection(R::kSection);
+  detail::FieldWriter<artifact::SctbWriter> visit{writer};
+  forEachField(r, visit);
+  writer.u64(r.deadlineMillis);
+  return writer.finish();
+}
+
+/// Inverse of encodeRequest; throws ProtocolError on a malformed payload, a
+/// missing R::kSection section (e.g. a flow payload decoded as lint) or a
+/// list longer than kMaxListLength.
+template <class R>
+[[nodiscard]] R decodeRequest(std::span<const std::byte> bytes) {
+  const artifact::SctbReader reader = detail::readerFor(bytes, R::kSection);
+  auto cursor = reader.section(R::kSection);
+  R r;
+  try {
+    detail::FieldReader visit{cursor};
+    forEachField(r, visit);
+    r.deadlineMillis = cursor.u64();
+  } catch (const artifact::FormatError& e) {
+    throw ProtocolError(e.what());
+  }
+  return r;
+}
+
+/// The daemon's response-cache key: the section name, then every field of
+/// the list — all that reaches the wire except the deadline. Section names
+/// share no prefix with flow stage keys, so the two never collide in the
+/// shared memory tier.
+template <class R>
+[[nodiscard]] artifact::Digest requestKey(const R& r) {
+  artifact::Hasher h;
+  h.str(R::kSection);
+  detail::FieldWriter<artifact::Hasher> visit{h};
+  forEachField(r, visit);
+  return h.digest();
+}
+
 [[nodiscard]] std::vector<std::byte> encodeResponse(const Response& r);
 [[nodiscard]] Response decodeResponse(std::span<const std::byte> bytes);
 

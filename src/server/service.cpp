@@ -4,20 +4,20 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "artifact/hash.hpp"
-#include "lint/engine.hpp"
-#include "lint/report_io.hpp"
 #include "liberty/liberty_io.hpp"
+#include "lint/engine.hpp"
+#include "lint/loaded_artifact.hpp"
+#include "lint/report_io.hpp"
 #include "netlist/verilog_io.hpp"
-#include "evo/tuner.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "postsi/scenario.hpp"
+#include "server/jobs.hpp"
 #include "sta/report.hpp"
 #include "sta/sta.hpp"
-#include "statlib/stat_io.hpp"
-#include "tuning/constraints_io.hpp"
 
 namespace sct::server {
 namespace {
@@ -49,86 +49,6 @@ struct ServiceMetrics {
     return m;
   }
 };
-
-/// Domain separation tags so request digests can never collide with each
-/// other or with flow stage keys (which hash configuration structs).
-constexpr const char* kFlowTag = "sctp-flow-v1";
-constexpr const char* kScenarioTag = "sctp-scenario-v1";
-constexpr const char* kEvolveTag = "sctp-evolve-v1";
-constexpr const char* kLintTag = "sctp-lint-v1";
-constexpr const char* kStaTag = "sctp-sta-v1";
-
-artifact::Digest flowDigest(const FlowRequest& r) {
-  artifact::Hasher h;
-  h.str(kFlowTag)
-      .str(r.job.profile)
-      .str(r.job.workload)
-      .f64(r.job.period)
-      .str(r.job.method)
-      .f64(r.job.value)
-      .u64(r.job.mcCount)
-      .u64(r.job.mcSeed)
-      .str(r.job.lintMode);
-  return h.digest();
-}
-
-artifact::Digest scenarioDigest(const ScenarioRequest& r) {
-  artifact::Hasher h;
-  h.str(kScenarioTag)
-      .str(r.job.profile)
-      .str(r.job.workload)
-      .str(r.job.method)
-      .f64(r.job.value)
-      .u64(r.job.mcCount)
-      .u64(r.job.mcSeed)
-      .str(r.job.lintMode);
-  h.u64(r.periods.size());
-  for (const double p : r.periods) h.f64(p);
-  h.str(r.scenarios)
-      .f64(r.rangeMin)
-      .f64(r.rangeMax)
-      .f64(r.step)
-      .f64(r.areaPerElement)
-      .u64(r.mcTrials)
-      .u64(r.mcSeed)
-      .u8(r.json ? 1 : 0);
-  return h.digest();
-}
-
-artifact::Digest evolveDigest(const EvolveRequest& r) {
-  artifact::Hasher h;
-  h.str(kEvolveTag)
-      .str(r.job.profile)
-      .str(r.job.workload)
-      .f64(r.job.period)
-      .u64(r.job.mcCount)
-      .u64(r.job.mcSeed)
-      .str(r.job.lintMode)
-      .u64(r.params.population)
-      .u64(r.params.generations)
-      .str(r.params.objectives)
-      .f64(r.params.geneMin)
-      .f64(r.params.geneMax)
-      .u64(r.params.seed)
-      .u8(r.json ? 1 : 0);
-  return h.digest();
-}
-
-artifact::Digest lintDigest(const LintRequest& r) {
-  artifact::Hasher h;
-  h.str(kLintTag)
-      .str(r.artifactType)
-      .str(r.content)
-      .u8(r.json ? 1 : 0)
-      .u32(lint::kRulePackVersion);
-  return h.digest();
-}
-
-artifact::Digest staDigest(const StaRequest& r) {
-  artifact::Hasher h;
-  h.str(kStaTag).str(r.libraryText).str(r.netlistText).f64(r.period);
-  return h.digest();
-}
 
 Response errorResponse(const std::string& message) {
   Response r;
@@ -174,18 +94,6 @@ std::span<const std::byte> TuningService::shuttingDownResponseBytes() {
   return bytes;
 }
 
-bool TuningService::deadlineExpired(std::uint64_t deadlineMillis,
-                                    Clock::time_point received) {
-  if (deadlineMillis == 0) return false;
-  return Clock::now() >= received + std::chrono::milliseconds(deadlineMillis);
-}
-
-TuningService::Clock::time_point TuningService::deadlinePoint(
-    std::uint64_t deadlineMillis, Clock::time_point received) {
-  if (deadlineMillis == 0) return Clock::time_point::max();
-  return received + std::chrono::milliseconds(deadlineMillis);
-}
-
 Response TuningService::handle(MessageType type,
                                std::span<const std::byte> payload,
                                Clock::time_point received) {
@@ -194,22 +102,22 @@ Response TuningService::handle(MessageType type,
   try {
     switch (type) {
       case MessageType::kFlowRequest:
-        response = handleFlow(decodeFlowRequest(payload), received);
+        response = serve<FlowRequest>(payload, received);
         break;
       case MessageType::kScenarioRequest:
-        response = handleScenario(decodeScenarioRequest(payload), received);
+        response = serve<ScenarioRequest>(payload, received);
         break;
       case MessageType::kEvolveRequest:
-        response = handleEvolve(decodeEvolveRequest(payload), received);
+        response = serve<EvolveRequest>(payload, received);
         break;
       case MessageType::kLintRequest:
-        response = handleLint(decodeLintRequest(payload), received);
+        response = serve<LintRequest>(payload, received);
         break;
       case MessageType::kStaRequest:
-        response = handleSta(decodeStaRequest(payload), received);
+        response = serve<StaRequest>(payload, received);
         break;
       case MessageType::kPingRequest:
-        response = handlePing(decodePingRequest(payload), received);
+        response = serve<PingRequest>(payload, received);
         break;
       case MessageType::kHealthRequest:
         response.status = Status::kOk;
@@ -285,164 +193,71 @@ Response TuningService::cachedResponse(
   return response;
 }
 
-Response TuningService::handleFlow(const FlowRequest& request,
-                                   Clock::time_point received) {
-  SCT_TRACE_SPAN("server.flow");
-  if (deadlineExpired(request.deadlineMillis, received)) {
+template <class R>
+Response TuningService::serve(std::span<const std::byte> payload,
+                              Clock::time_point received) {
+  const R request = decodeRequest<R>(payload);
+  SCT_TRACE_SPAN(R::kSpan);
+  const Clock::time_point deadline =
+      request.deadlineMillis == 0
+          ? Clock::time_point::max()
+          : received + std::chrono::milliseconds(request.deadlineMillis);
+  if (Clock::now() >= deadline) {
     return timeoutResponse("deadline expired before compute started");
   }
-  return cachedResponse(flowDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    core::FlowConfig config = core::makeFlowConfig(request.job);
-    config.sharedStore = store_.get();
-    config.sharedMemCache = &mem_;
-    core::TuningFlow flow(std::move(config));
-    const core::FlowJobResult result = core::runFlowJob(flow, request.job);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = result.summary;
-    r.body = result.report;
-    return r;
-  });
+  if constexpr (std::is_same_v<R, PingRequest>) {
+    return compute(request);
+  } else {
+    return cachedResponse(requestKey(request), deadline,
+                          [&] { return compute(request); });
+  }
 }
 
-Response TuningService::handleScenario(const ScenarioRequest& request,
-                                       Clock::time_point received) {
-  SCT_TRACE_SPAN("server.scenario");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(scenarioDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    core::FlowConfig config = core::makeFlowConfig(request.job);
-    config.sharedStore = store_.get();
-    config.sharedMemCache = &mem_;
-    core::TuningFlow flow(std::move(config));
-    postsi::ScenarioJob job;
-    job.flow = request.job;
-    job.periods = request.periods;
-    job.scenarios = request.scenarios;
-    job.element = clocktree::TuningElementSpec{
-        request.rangeMin, request.rangeMax, request.step,
-        request.areaPerElement};
-    job.mcTrials = request.mcTrials;
-    job.mcSeed = request.mcSeed;
-    const postsi::ScenarioRunResult result = postsi::runScenarioJob(flow, job);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = result.summary;
-    r.body = request.json ? result.json : result.report;
-    return r;
-  });
+template <class R>
+Response TuningService::compute(const R& request) {
+  core::FlowConfig config = core::makeFlowConfig(request.job);
+  config.sharedStore = store_.get();
+  config.sharedMemCache = &mem_;
+  core::TuningFlow flow(std::move(config));
+  JobResult result = runJob(request, flow);
+  return {Status::kOk, std::move(result.summary), std::move(result.body)};
 }
 
-Response TuningService::handleEvolve(const EvolveRequest& request,
-                                     Clock::time_point received) {
-  SCT_TRACE_SPAN("server.evolve");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(evolveDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    core::FlowConfig config = core::makeFlowConfig(request.job);
-    config.sharedStore = store_.get();
-    config.sharedMemCache = &mem_;
-    core::TuningFlow flow(std::move(config));
-    evo::EvolveJob job;
-    job.flow = request.job;
-    job.params = request.params;
-    const evo::EvolveRunResult result = evo::runEvolveJob(flow, job);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = result.summary;
-    r.body = request.json ? result.json : result.report;
-    return r;
-  });
+Response TuningService::compute(const LintRequest& request) {
+  const lint::LoadedArtifact artifact(request.artifactType, request.content,
+                                      nullptr);
+  const lint::LintEngine engine = lint::LintEngine::withAllRules();
+  const lint::LintReport report = engine.run(artifact.subject());
+  return {Status::kOk, report.summary(),
+          request.json ? lint::writeJsonToString(report)
+                       : lint::writeTextToString(report)};
 }
 
-Response TuningService::handleLint(const LintRequest& request,
-                                   Clock::time_point received) {
-  SCT_TRACE_SPAN("server.lint");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
+Response TuningService::compute(const StaRequest& request) {
+  checkPeriod(request.period);
+  const liberty::Library library =
+      liberty::readLibraryFromString(request.libraryText);
+  const netlist::Design design =
+      netlist::readVerilogFromString(request.netlistText, &library);
+  sta::ClockSpec clock;
+  clock.period = request.period;
+  sta::TimingAnalyzer analyzer(design, library, clock);
+  if (!analyzer.analyze()) {
+    return errorResponse("timing analysis failed (combinational cycle)");
   }
-  return cachedResponse(lintDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    std::optional<liberty::Library> library;
-    std::optional<statlib::StatLibrary> stat;
-    std::optional<netlist::Design> design;
-    std::optional<tuning::LibraryConstraints> constraints;
-    lint::LintSubject subject;
-    if (request.artifactType == "lib") {
-      library.emplace(liberty::readLibraryFromString(request.content));
-      subject.library = &*library;
-    } else if (request.artifactType == "stat") {
-      stat.emplace(statlib::readStatLibraryFromString(request.content));
-      subject.statLibrary = &*stat;
-    } else if (request.artifactType == "netlist") {
-      design.emplace(netlist::readVerilogFromString(request.content, nullptr));
-      subject.design = &*design;
-    } else if (request.artifactType == "constraints") {
-      constraints.emplace(tuning::readConstraintsFromString(request.content));
-      subject.constraints = &*constraints;
-    } else {
-      return errorResponse("unknown artifact type '" + request.artifactType +
-                           "' (lib|stat|netlist|constraints)");
-    }
-    const lint::LintEngine engine = lint::LintEngine::withAllRules();
-    const lint::LintReport report = engine.run(subject);
-    Response r;
-    r.status = Status::kOk;
-    r.summary = report.summary();
-    r.body = request.json ? lint::writeJsonToString(report)
-                          : lint::writeTextToString(report);
-    return r;
-  });
+  std::ostringstream summary;
+  summary << "sta: " << design.name() << " wns "
+          << (analyzer.met() ? "met" : "violated");
+  return {Status::kOk, summary.str(),
+          sta::timingReportToString(design, analyzer)};
 }
 
-Response TuningService::handleSta(const StaRequest& request,
-                                  Clock::time_point received) {
-  SCT_TRACE_SPAN("server.sta");
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
-  return cachedResponse(staDigest(request),
-                        deadlinePoint(request.deadlineMillis, received), [&] {
-    const liberty::Library library =
-        liberty::readLibraryFromString(request.libraryText);
-    const netlist::Design design =
-        netlist::readVerilogFromString(request.netlistText, &library);
-    sta::ClockSpec clock;
-    clock.period = request.period;
-    sta::TimingAnalyzer analyzer(design, library, clock);
-    if (!analyzer.analyze()) {
-      return errorResponse("timing analysis failed (combinational cycle)");
-    }
-    Response r;
-    r.status = Status::kOk;
-    std::ostringstream summary;
-    summary << "sta: " << design.name() << " wns "
-            << (analyzer.met() ? "met" : "violated");
-    r.summary = summary.str();
-    r.body = sta::timingReportToString(design, analyzer);
-    return r;
-  });
-}
-
-Response TuningService::handlePing(const PingRequest& request,
-                                   Clock::time_point received) {
-  if (deadlineExpired(request.deadlineMillis, received)) {
-    return timeoutResponse("deadline expired before compute started");
-  }
+Response TuningService::compute(const PingRequest& request) {
   if (request.sleepMillis > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(request.sleepMillis));
   }
-  Response r;
-  r.status = Status::kOk;
-  r.summary = "pong";
-  r.body = request.echo;
-  return r;
+  return {Status::kOk, "pong", request.echo};
 }
 
 std::string TuningService::healthJson() {

@@ -3,9 +3,10 @@
 // TuningService instance is shared by every session. It owns the shared
 // cache tiers —
 //
-//   response cache   memory-resident, keyed by the digest of the request's
-//                    semantic fields (deadline excluded); a hit re-serves
-//                    the exact encoded response bytes
+//   response cache   memory-resident, keyed by the request's section name
+//                    plus its field list (protocol.hpp; the deadline is not
+//                    in the list); a hit re-serves the exact encoded
+//                    response bytes
 //   stage caches     the on-disk ArtifactStore plus the in-memory tier,
 //                    injected into each request's TuningFlow, so different
 //                    requests still share characterization/stat/tune/synth
@@ -85,14 +86,21 @@ class TuningService {
   [[nodiscard]] std::string healthJson();
 
  private:
-  Response handleFlow(const FlowRequest& request, Clock::time_point received);
-  Response handleScenario(const ScenarioRequest& request,
-                          Clock::time_point received);
-  Response handleEvolve(const EvolveRequest& request,
-                        Clock::time_point received);
-  Response handleLint(const LintRequest& request, Clock::time_point received);
-  Response handleSta(const StaRequest& request, Clock::time_point received);
-  Response handlePing(const PingRequest& request, Clock::time_point received);
+  /// The one request path: decode R, open its span, check the deadline,
+  /// then answer through cachedResponse (pings bypass the cache: each one
+  /// must sleep).
+  template <class R>
+  Response serve(std::span<const std::byte> payload,
+                 Clock::time_point received);
+
+  /// Per-kind compute bodies behind serve(). The template serves the job
+  /// kinds (flow, scenario, evolve): the runner shared with the CLI, on a
+  /// flow wired to the shared cache tiers.
+  template <class R>
+  Response compute(const R& request);
+  static Response compute(const LintRequest& request);
+  static Response compute(const StaRequest& request);
+  static Response compute(const PingRequest& request);
 
   /// Shared cache + single-flight harness around one cacheable request:
   /// probe by digest, elect a leader, compute, publish, re-serve. A waiter
@@ -101,14 +109,6 @@ class TuningService {
   Response cachedResponse(const artifact::Digest& key,
                           Clock::time_point deadline,
                           const std::function<Response()>& compute);
-
-  /// True when a nonzero deadline measured from `received` already passed.
-  [[nodiscard]] static bool deadlineExpired(std::uint64_t deadlineMillis,
-                                            Clock::time_point received);
-
-  /// Absolute deadline for `flights_.lock`; max() when deadlineMillis is 0.
-  [[nodiscard]] static Clock::time_point deadlinePoint(
-      std::uint64_t deadlineMillis, Clock::time_point received);
 
   std::unique_ptr<artifact::ArtifactStore> store_;  ///< null when no disk tier
   artifact::MemoryArtifactCache mem_;

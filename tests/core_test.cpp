@@ -210,6 +210,16 @@ TEST(EnvParse, ParseCountThrowsNamingTheFlag) {
                std::invalid_argument);
 }
 
+TEST(EnvParse, ParseRealIsStrictAndFinite) {
+  EXPECT_EQ(env::parseReal("--period", "8"), 8.0);
+  EXPECT_EQ(env::parseReal("--value", "-2.5e-2"), -0.025);
+  for (const char* bad : {"", "8.0abc", "nan", "inf", "1e999", "+4", " 8",
+                          "0x10"}) {
+    EXPECT_THROW((void)env::parseReal("--period", bad), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(EnvParse, ParseFlagRecognizesCommonSpellings) {
   for (const char* on : {"1", "true", "on", "yes"}) {
     EXPECT_TRUE(env::parseFlag("test", on, false)) << on;

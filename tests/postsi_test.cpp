@@ -357,5 +357,26 @@ TEST(Scenario, ColdAndWarmRunsAreByteIdentical) {
   fs::remove_all(dir);
 }
 
+TEST(Scenario, SharedStoreKeysCellsByWorkload) {
+  // A dsp run on the store an mcu run just filled must compute its own
+  // cells, not decode the mcu ones.
+  const fs::path dir = fs::temp_directory_path() / "sct_scenario_workload_test";
+  fs::remove_all(dir);
+  ScenarioJob job = smallScenarioJob({8.0}, "tuning,clock");
+  core::FlowConfig config = core::makeFlowConfig(job.flow);
+  config.cacheDir = dir.string();
+  core::TuningFlow mcu(config);
+  (void)runScenarioJob(mcu, job);
+
+  job.flow.workload = "dsp";
+  config = core::makeFlowConfig(job.flow);
+  core::TuningFlow alone(config);
+  config.cacheDir = dir.string();
+  core::TuningFlow shared(config);
+  EXPECT_EQ(runScenarioJob(shared, job).report,
+            runScenarioJob(alone, job).report);
+  fs::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace sct::postsi

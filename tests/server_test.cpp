@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "artifact/hash.hpp"
 #include "core/flow_job.hpp"
 #include "evo/tuner.hpp"
 #include "obs/metrics.hpp"
@@ -199,15 +201,9 @@ TEST(ServerTest, ScenarioMatchesLocalRunByteForByte) {
   TestServer srv(dir);
   const server::ScenarioRequest request = smallScenario();
 
-  postsi::ScenarioJob job;
-  job.flow = request.job;
-  job.periods = request.periods;
-  job.scenarios = request.scenarios;
-  job.element = clocktree::TuningElementSpec{request.rangeMin,
-                                             request.rangeMax, request.step,
-                                             request.areaPerElement};
-  job.mcTrials = request.mcTrials;
-  job.mcSeed = request.mcSeed;
+  postsi::ScenarioJob job{request.job,      request.periods,
+                          request.scenarios, request.element,
+                          request.mcTrials, request.mcSeed};
   core::TuningFlow local(core::makeFlowConfig(job.flow));
   const postsi::ScenarioRunResult expected =
       postsi::runScenarioJob(local, job);
@@ -293,6 +289,29 @@ TEST(ServerTest, ScenarioRejectsBadJobsWithError) {
   EXPECT_EQ(response.status, Status::kError);
   // The connection survives the failed request.
   EXPECT_EQ(client.health().status, Status::kOk);
+}
+
+TEST(ServerTest, NonPositivePeriodsAnswerError) {
+  TempDir dir("sct_server_bad_period");
+  TestServer srv(dir);
+  Client client = srv.connect();
+  const auto expectPeriodError = [](const Response& response) {
+    EXPECT_EQ(response.status, Status::kError);
+    EXPECT_NE(response.summary.find("clock period"), std::string::npos)
+        << response.summary;
+  };
+  expectPeriodError(
+      client.flow(smallFlow(std::numeric_limits<double>::quiet_NaN())));
+  expectPeriodError(client.flow(smallFlow(0.0)));
+  server::ScenarioRequest scenario = smallScenario();
+  scenario.periods = {8.0, -1.0};
+  expectPeriodError(client.scenario(scenario));
+  server::EvolveRequest evolve = smallEvolve();
+  evolve.job.period = 0.0;
+  expectPeriodError(client.evolve(evolve));
+  server::StaRequest sta;
+  sta.period = -2.0;
+  expectPeriodError(client.sta(sta));
 }
 
 // ---- protocol fuzzing: the daemon must survive anything ------------------
@@ -470,63 +489,67 @@ TEST(ServerTest, ShutdownRequestStopsTheServer) {
   EXPECT_FALSE(srv.instance->running());
 }
 
-// ---- codec round trips ---------------------------------------------------
+// ---- codec round trips and the pinned wire ------------------------------
 
-TEST(ProtocolTest, FlowRequestRoundTrip) {
-  server::FlowRequest request;
-  request.job.profile = "small";
-  request.job.period = 7.25;
-  request.job.method = "sigma-ceiling";
-  request.job.value = 0.02;
-  request.job.mcCount = 12;
-  request.job.mcSeed = 77;
-  request.job.lintMode = "warn";
-  request.deadlineMillis = 1500;
-  const auto bytes = server::encodeFlowRequest(request);
-  const server::FlowRequest back = server::decodeFlowRequest(bytes);
-  EXPECT_EQ(back.job.profile, "small");
-  EXPECT_EQ(back.job.period, 7.25);
-  EXPECT_EQ(back.job.method, "sigma-ceiling");
-  EXPECT_EQ(back.job.value, 0.02);
-  EXPECT_EQ(back.job.mcCount, 12u);
-  EXPECT_EQ(back.job.mcSeed, 77u);
-  EXPECT_EQ(back.job.lintMode, "warn");
-  EXPECT_EQ(back.deadlineMillis, 1500u);
+// One request of every kind with every field off its default, so a field
+// the codec drops, reorders or retypes shows in a round trip or a digest.
+const core::FlowJob kJob{.profile = "small",
+                         .workload = "dsp",
+                         .period = 7.25,
+                         .method = "cell-load",
+                         .value = 0.03,
+                         .mcCount = 12,
+                         .mcSeed = 77,
+                         .lintMode = "warn"};
+const server::FlowRequest kFlow{.job = kJob, .deadlineMillis = 1500};
+const server::LintRequest kLint{.artifactType = "netlist",
+                                .content = "module m; endmodule\n",
+                                .json = true,
+                                .deadlineMillis = 250};
+const server::StaRequest kSta{.libraryText = "library(x) {}",
+                              .netlistText = "module top; endmodule",
+                              .period = 3.5,
+                              .deadlineMillis = 99};
+const server::ScenarioRequest kScenario{
+    .job =
+        [] {
+          core::FlowJob job = kJob;
+          job.period = 0.0;  // scenario jobs carry periods explicitly
+          return job;
+        }(),
+    .periods = {2.41, 2.5, 4.0, 10.0},
+    .scenarios = "tuning,clock",
+    .element = {0.05, 0.45, 0.1, 3.5},
+    .mcTrials = 32,
+    .mcSeed = 99,
+    .json = true,
+    .deadlineMillis = 2500};
+const server::EvolveRequest kEvolve{.job = kJob,
+                                    .params = {6, 2, "sigma,area", 0.004,
+                                               0.05, 31},
+                                    .json = true,
+                                    .deadlineMillis = 4000};
+const server::PingRequest kPing{
+    .echo = "hello", .sleepMillis = 7, .deadlineMillis = 11};
+
+/// decode(encode(r)) must encode to the same bytes: every field of the
+/// fixtures is off its default, so a field the decoder drops or misplaces
+/// changes the second encoding (WireBytesArePinned pins the first).
+template <class R>
+void expectRoundTrip(const R& request) {
+  const std::vector<std::byte> bytes = server::encodeRequest(request);
+  EXPECT_EQ(server::encodeRequest(server::decodeRequest<R>(bytes)), bytes);
 }
 
-TEST(ProtocolTest, ScenarioRequestRoundTrip) {
-  server::ScenarioRequest request;
-  request.job.profile = "small";
-  request.job.method = "sigma-ceiling";
-  request.job.value = 0.02;
-  request.job.mcCount = 6;
-  request.periods = {2.41, 2.5, 4.0, 10.0};
-  request.scenarios = "tuning,clock";
-  request.rangeMin = 0.05;
-  request.rangeMax = 0.45;
-  request.step = 0.1;
-  request.areaPerElement = 3.5;
-  request.mcTrials = 32;
-  request.mcSeed = 99;
-  request.json = true;
-  request.deadlineMillis = 2500;
-  const auto bytes = server::encodeScenarioRequest(request);
-  const server::ScenarioRequest back = server::decodeScenarioRequest(bytes);
-  EXPECT_EQ(back.job.profile, "small");
-  EXPECT_EQ(back.job.method, "sigma-ceiling");
-  EXPECT_EQ(back.job.mcCount, 6u);
-  ASSERT_EQ(back.periods.size(), 4u);
-  EXPECT_EQ(back.periods[0], 2.41);
-  EXPECT_EQ(back.periods[3], 10.0);
-  EXPECT_EQ(back.scenarios, "tuning,clock");
-  EXPECT_EQ(back.rangeMin, 0.05);
-  EXPECT_EQ(back.rangeMax, 0.45);
-  EXPECT_EQ(back.step, 0.1);
-  EXPECT_EQ(back.areaPerElement, 3.5);
-  EXPECT_EQ(back.mcTrials, 32u);
-  EXPECT_EQ(back.mcSeed, 99u);
-  EXPECT_TRUE(back.json);
-  EXPECT_EQ(back.deadlineMillis, 2500u);
+TEST(ProtocolTest, FlowRequestRoundTrip) { expectRoundTrip(kFlow); }
+
+TEST(ProtocolTest, ScenarioRequestRoundTrip) { expectRoundTrip(kScenario); }
+
+TEST(ProtocolTest, EveryOtherRequestKindRoundTrips) {
+  expectRoundTrip(kLint);
+  expectRoundTrip(kSta);
+  expectRoundTrip(kEvolve);
+  expectRoundTrip(kPing);
 }
 
 TEST(ProtocolTest, ResponseRoundTrip) {
@@ -541,9 +564,45 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   EXPECT_EQ(back.body, response.body);
 }
 
+std::string digestOf(const std::vector<std::byte>& bytes) {
+  artifact::Hasher h;
+  h.bytes(bytes);
+  return h.digest().hex();
+}
+
+// Digests of the fixtures' encodings, recorded from the hand-written
+// per-kind encoders this codec replaced. A change here is a wire-format
+// change: it needs a protocol version bump, not a new golden value.
+TEST(ProtocolTest, WireBytesArePinned) {
+  EXPECT_EQ(digestOf(server::encodeRequest(kFlow)),
+            "6a8b77af08e7d8f1bd93043a35b46ade");
+  EXPECT_EQ(digestOf(server::encodeRequest(kLint)),
+            "8d11d997ff42bf91449af3eebed4dee6");
+  EXPECT_EQ(digestOf(server::encodeRequest(kSta)),
+            "6f1837aa4fedf1400a0dcdbe5ecc9fd2");
+  EXPECT_EQ(digestOf(server::encodeRequest(kScenario)),
+            "f13efc8753fd3918bec546dc03a636d6");
+  EXPECT_EQ(digestOf(server::encodeRequest(kEvolve)),
+            "3b27b417ddd148bd88ee530d9b93d3c1");
+  EXPECT_EQ(digestOf(server::encodeRequest(kPing)),
+            "be86560c3dceae494ff3347023f1d065");
+  const Response response{Status::kTimeout, "too late", "line1\nline2\n"};
+  EXPECT_EQ(digestOf(server::encodeResponse(response)),
+            "7d418c9388ce67e49542030e73c93366");
+}
+
 TEST(ProtocolTest, DecodeRejectsWrongSection) {
-  const auto bytes = server::encodeFlowRequest(server::FlowRequest{});
-  EXPECT_THROW((void)server::decodeLintRequest(bytes), server::ProtocolError);
+  const auto bytes = server::encodeRequest(server::FlowRequest{});
+  EXPECT_THROW((void)server::decodeRequest<server::LintRequest>(bytes),
+               server::ProtocolError);
+}
+
+TEST(ProtocolTest, DecodeRejectsOverlongList) {
+  server::ScenarioRequest overlong = kScenario;
+  overlong.periods.assign(server::kMaxListLength + 1, 8.0);
+  EXPECT_THROW((void)server::decodeRequest<server::ScenarioRequest>(
+                   server::encodeRequest(overlong)),
+               server::ProtocolError);
 }
 
 }  // namespace

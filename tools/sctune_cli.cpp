@@ -18,6 +18,12 @@
 //                        [--profile small|full] [--cache-dir DIR | --no-cache]
 //                        [--cache-stats] [--lint-mode error|warn|off]
 //                        [--report out.txt]
+//   sctune scenario     --period <ns> | --periods a,b,c [--scenarios LIST]
+//                        [--trials N] [--json] + the flow flags
+//   sctune evolve       --period <ns> [--population N --generations G]
+//                        [--objectives LIST] [--json] + the flow flags
+//   sctune client <op>  --socket PATH | --tcp-port N, <op> one of
+//                        flow|scenario|evolve|lint|sta|ping|health|shutdown
 //   sctune cache stats  --cache-dir DIR
 //   sctune cache gc     --cache-dir DIR [--max-bytes N] [--max-age seconds]
 //
@@ -27,7 +33,9 @@
 // `flow` runs the whole pipeline in-process on top of the content-addressed
 // artifact store (SCT_CACHE_DIR is the --cache-dir default): a warm rerun
 // loads every stage artifact instead of recomputing, and its --report file
-// is byte-identical to the cold run's.
+// is byte-identical to the cold run's. `flow`, `scenario` and `evolve` parse
+// their flags into the daemon's request structs and run them through the
+// daemon's runners, so `client <op>` answers byte-identically.
 
 #include <algorithm>
 #include <cstdio>
@@ -42,6 +50,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "artifact/store.hpp"
@@ -49,9 +58,10 @@
 #include "core/env.hpp"
 #include "core/flow.hpp"
 #include "core/flow_job.hpp"
-#include "evo/tuner.hpp"
 #include "server/client.hpp"
+#include "server/jobs.hpp"
 #include "lint/engine.hpp"
+#include "lint/loaded_artifact.hpp"
 #include "lint/report_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -106,8 +116,13 @@ class Args {
     if (!v) throw std::runtime_error("missing required flag --" + key);
     return *v;
   }
-  [[nodiscard]] double requireDouble(const std::string& key) const {
-    return std::stod(require(key));
+  /// Strict finite real (env::parseReal); garbage throws naming the flag.
+  [[nodiscard]] double requireReal(const std::string& key) const {
+    return env::parseReal("--" + key, require(key));
+  }
+  [[nodiscard]] double getReal(const std::string& key, double fallback) const {
+    const auto v = get(key);
+    return v ? env::parseReal("--" + key, *v) : fallback;
   }
   /// Strict digits-only count (env::parseCount); garbage, a sign or a value
   /// above `max` throws naming the flag.
@@ -273,7 +288,7 @@ int cmdTune(const Args& args) {
   const statlib::StatLibrary stat =
       statlib::readStatLibraryFromString(readFile(args.require("stat")));
   const tuning::TuningConfig config = tuning::TuningConfig::forMethod(
-      methodByName(args.require("method")), args.requireDouble("value"));
+      methodByName(args.require("method")), args.requireReal("value"));
   const tuning::LibraryConstraints constraints =
       tuning::tuneLibrary(stat, config);
   std::printf("tuned %zu cells (%zu unusable)\n", constraints.size(),
@@ -296,7 +311,7 @@ int cmdSynth(const Args& args) {
   const netlist::Design subject =
       designByName(args.require("design"), nullptr);
   sta::ClockSpec clock;
-  clock.period = args.requireDouble("period");
+  clock.period = args.requireReal("period");
   const synth::Synthesizer synthesizer(
       library, constraints ? &*constraints : nullptr);
   const synth::SynthesisResult result = synthesizer.run(subject, clock);
@@ -320,7 +335,7 @@ int cmdReport(const Args& args) {
   if (!netIn) throw std::runtime_error("cannot open netlist");
   const netlist::Design design = netlist::readVerilog(netIn, &library);
   sta::ClockSpec clock;
-  clock.period = args.requireDouble("period");
+  clock.period = args.requireReal("period");
   sta::TimingAnalyzer sta(design, library, clock);
   if (!sta.analyze()) throw std::runtime_error("timing analysis failed");
 
@@ -386,30 +401,8 @@ int cmdLint(const std::string& path, const Args& args) {
     reference.emplace(liberty::readLibraryFromString(readFile(*refPath)));
   }
 
-  std::optional<liberty::Library> library;
-  std::optional<statlib::StatLibrary> stat;
-  std::optional<netlist::Design> design;
-  std::optional<tuning::LibraryConstraints> constraints;
-  lint::LintSubject subject;
-  subject.referenceLibrary = reference ? &*reference : nullptr;
-  if (type == "lib") {
-    library.emplace(liberty::readLibraryFromString(readFile(path)));
-    subject.library = &*library;
-  } else if (type == "stat") {
-    stat.emplace(statlib::readStatLibraryFromString(readFile(path)));
-    subject.statLibrary = &*stat;
-  } else if (type == "netlist") {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open " + path);
-    design.emplace(netlist::readVerilog(in, subject.referenceLibrary));
-    subject.design = &*design;
-  } else if (type == "constraints") {
-    constraints.emplace(tuning::readConstraintsFromString(readFile(path)));
-    subject.constraints = &*constraints;
-  } else {
-    throw std::runtime_error("unknown --type '" + type +
-                             "' (lib|stat|netlist|constraints)");
-  }
+  const lint::LoadedArtifact artifact(type, readFile(path),
+                                      reference ? &*reference : nullptr);
 
   const lint::LintEngine engine = lint::LintEngine::withAllRules();
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -418,7 +411,7 @@ int cmdLint(const std::string& path, const Args& args) {
   lint::LintReport report;
   {
     SCT_TRACE_SPAN("lint.run");
-    report = engine.run(subject);
+    report = engine.run(artifact.subject());
   }
   if (timed) {
     registry.counter("lint.runs").inc();
@@ -451,24 +444,6 @@ std::filesystem::path cacheRoot(const Args& args) {
   throw std::runtime_error("need --cache-dir (or the SCT_CACHE_DIR variable)");
 }
 
-/// Flow job description from the command line; shared verbatim between the
-/// local `flow` command and `client flow` (the daemon round trip), so both
-/// paths compute and render exactly the same request.
-core::FlowJob flowJobFromArgs(const Args& args) {
-  core::FlowJob job;
-  job.profile = args.get("profile").value_or("full");
-  job.workload = args.get("workload").value_or(job.workload);
-  job.period = args.requireDouble("period");
-  if (const auto method = args.get("method")) {
-    job.method = *method;
-    job.value = args.requireDouble("value");
-  }
-  job.mcCount = args.getUint("mc", 0);  // 0 = profile default
-  job.mcSeed = args.getUint("seed", job.mcSeed);
-  job.lintMode = args.get("lint-mode").value_or("error");
-  return job;
-}
-
 core::FlowConfig makeFlowConfigFor(const core::FlowJob& job,
                                    const Args& args) {
   core::FlowConfig config = core::makeFlowConfig(job);
@@ -490,134 +465,129 @@ core::FlowConfig makeFlowConfigFor(const core::FlowJob& job,
   return config;
 }
 
-core::FlowConfig makeFlowConfig(const Args& args) {
-  return makeFlowConfigFor(flowJobFromArgs(args), args);
+// ---- request parsers -----------------------------------------------------
+//
+// One parser per request kind, shared by the local command and `sctune
+// client <op>`: both paths build the same request struct, so they run the
+// same job (and the daemon derives the same cache key).
+
+/// The FlowJob flags of the job kinds. --period is left 0 (each kind reads
+/// its own clock periods); evolve explores the method space itself, so it
+/// takes no --method/--value.
+core::FlowJob flowJobFromArgs(const Args& args, bool withMethod) {
+  core::FlowJob job;
+  job.profile = args.get("profile").value_or("full");
+  job.workload = args.get("workload").value_or(job.workload);
+  if (const auto method = args.get("method"); method && withMethod) {
+    job.method = *method;
+    job.value = args.requireReal("value");
+  }
+  job.mcCount = args.getUint("mc", 0);  // 0 = profile default
+  job.mcSeed = args.getUint("seed", job.mcSeed);
+  job.lintMode = args.get("lint-mode").value_or("error");
+  return job;
 }
 
-/// Scenario job description from the command line; shared verbatim between
-/// the local `scenario` command and `client scenario`, so both paths encode
-/// identical jobs (and therefore identical cache keys and report bytes).
-postsi::ScenarioJob scenarioJobFromArgs(const Args& args) {
-  postsi::ScenarioJob job;
-  job.flow.profile = args.get("profile").value_or("full");
-  job.flow.workload = args.get("workload").value_or(job.flow.workload);
-  job.flow.period = 0.0;  // per-cell periods live in job.periods
-  if (const auto method = args.get("method")) {
-    job.flow.method = *method;
-    job.flow.value = args.requireDouble("value");
-  }
-  job.flow.mcCount = args.getUint("mc", 0);
-  job.flow.mcSeed = args.getUint("seed", job.flow.mcSeed);
-  job.flow.lintMode = args.get("lint-mode").value_or("error");
+void parseArgs(const Args& args, server::FlowRequest& r) {
+  r.job = flowJobFromArgs(args, true);
+  r.job.period = args.requireReal("period");
+}
+
+void parseArgs(const Args& args, server::ScenarioRequest& r) {
+  r.job = flowJobFromArgs(args, true);
   if (const auto list = args.get("periods")) {
     std::stringstream stream(*list);
     std::string token;
     while (std::getline(stream, token, ',')) {
-      if (!token.empty()) job.periods.push_back(std::stod(token));
+      if (token.empty()) continue;
+      r.periods.push_back(env::parseReal("--periods", token));
     }
   } else {
     // Paper protocol: the four clock periods as ratios of a base period.
-    job.periods = postsi::paperPeriods(args.requireDouble("period"));
+    r.periods = postsi::paperPeriods(args.requireReal("period"));
   }
-  job.scenarios = args.get("scenarios").value_or(job.scenarios);
-  job.element.rangeMin = std::stod(args.get("tune-range-min").value_or("0"));
-  job.element.rangeMax = std::stod(args.get("tune-range-max").value_or("0.3"));
-  job.element.step = std::stod(args.get("tune-step").value_or("0.05"));
-  job.element.areaPerElement = std::stod(args.get("tune-area").value_or("2"));
-  job.mcTrials = args.getUint("trials", 0);  // 0 = profile default
-  job.mcSeed = job.flow.mcSeed;
-  return job;
+  r.scenarios = args.get("scenarios").value_or(r.scenarios);
+  r.element.rangeMin = args.getReal("tune-range-min", r.element.rangeMin);
+  r.element.rangeMax = args.getReal("tune-range-max", r.element.rangeMax);
+  r.element.step = args.getReal("tune-step", r.element.step);
+  r.element.areaPerElement =
+      args.getReal("tune-area", r.element.areaPerElement);
+  r.mcTrials = args.getUint("trials", 0);  // 0 = profile default
+  r.mcSeed = r.job.mcSeed;
 }
 
-int cmdScenario(const Args& args) {
-  const postsi::ScenarioJob job = scenarioJobFromArgs(args);
-  core::TuningFlow flow(makeFlowConfigFor(job.flow, args));
-  const postsi::ScenarioRunResult result = postsi::runScenarioJob(flow, job);
-  std::printf("%s\n", result.summary.c_str());
-  // The body choice mirrors the daemon's (json flag selects the rendering),
-  // so a --report file and a `client scenario --report` file are
-  // byte-identical for the same job.
-  const std::string& body = args.has("json") ? result.json : result.report;
-  if (const auto out = args.get("report")) {
-    writeFile(*out, body);
+void parseArgs(const Args& args, server::EvolveRequest& r) {
+  r.job = flowJobFromArgs(args, false);
+  r.job.period = args.requireReal("period");
+  r.params.population = args.getUint("population", r.params.population);
+  r.params.generations = args.getUint("generations", r.params.generations);
+  r.params.objectives = args.get("objectives").value_or(r.params.objectives);
+  r.params.geneMin = args.getReal("gene-min", r.params.geneMin);
+  r.params.geneMax = args.getReal("gene-max", r.params.geneMax);
+  r.params.seed = args.getUint("evo-seed", r.params.seed);
+}
+
+void parseArgs(const Args& args, server::LintRequest& r) {
+  r.artifactType = args.require("type");
+  r.content = readFile(args.require("path"));
+}
+
+void parseArgs(const Args& args, server::StaRequest& r) {
+  r.libraryText = readFile(args.require("lib"));
+  r.netlistText = readFile(args.require("netlist"));
+  r.period = args.requireReal("period");
+}
+
+void parseArgs(const Args& args, server::PingRequest& r) {
+  r.echo = args.get("echo").value_or("");
+  r.sleepMillis = args.getUint("sleep-ms", 0);
+}
+
+template <class R>
+R requestFromArgs(const Args& args) {
+  R request;
+  parseArgs(args, request);
+  if constexpr (requires { request.json; }) request.json = args.has("json");
+  return request;
+}
+
+void printCacheStats(const core::TuningFlow& flow) {
+  if (const artifact::ArtifactStore* store = flow.cache()) {
+    const artifact::StoreStats& s = store->stats();
+    const auto [files, bytes] = store->diskUsage();
+    std::printf(
+        "cache %s: %zu hits, %zu misses, %zu corrupt, %zu stores; "
+        "%.1f KB read, %.1f KB written; %zu entries / %.1f KB on disk\n",
+        store->root().c_str(), s.hits.load(), s.misses.load(),
+        s.corrupt.load(), s.stores.load(),
+        static_cast<double>(s.bytesRead.load()) / 1024.0,
+        static_cast<double>(s.bytesWritten.load()) / 1024.0, files,
+        static_cast<double>(bytes) / 1024.0);
   } else {
-    std::fputs(body.c_str(), stdout);
+    std::printf("cache: disabled\n");
   }
-  // Unmet cells at tight paper periods are the measurement the matrix
-  // exists to take (yield < 1), not a command failure — unlike `flow`,
-  // which targets a single period and exits 2 when it is missed.
-  return 0;
 }
 
-/// Evolve job description from the command line; shared verbatim between the
-/// local `evolve` command and `client evolve`, so both paths encode identical
-/// jobs (and therefore identical cache keys and report bytes).
-evo::EvolveJob evolveJobFromArgs(const Args& args) {
-  evo::EvolveJob job;
-  job.flow.profile = args.get("profile").value_or("full");
-  job.flow.workload = args.get("workload").value_or(job.flow.workload);
-  job.flow.period = args.requireDouble("period");
-  job.flow.mcCount = args.getUint("mc", 0);
-  job.flow.mcSeed = args.getUint("seed", job.flow.mcSeed);
-  job.flow.lintMode = args.get("lint-mode").value_or("error");
-  job.params.population = args.getUint("population", job.params.population);
-  job.params.generations =
-      args.getUint("generations", job.params.generations);
-  job.params.objectives =
-      args.get("objectives").value_or(job.params.objectives);
-  if (const auto v = args.get("gene-min")) job.params.geneMin = std::stod(*v);
-  if (const auto v = args.get("gene-max")) job.params.geneMax = std::stod(*v);
-  job.params.seed = args.getUint("evo-seed", job.params.seed);
-  return job;
-}
-
-int cmdEvolve(const Args& args) {
-  const evo::EvolveJob job = evolveJobFromArgs(args);
-  core::TuningFlow flow(makeFlowConfigFor(job.flow, args));
-  const evo::EvolveRunResult result = evo::runEvolveJob(flow, job);
+/// `sctune flow|scenario|evolve`: the job runs through the same runner the
+/// daemon uses (server::runJob), so the --report file and a `client <op>
+/// --report` file are byte-identical by construction. Exit code 2 when the
+/// job fails (flow misses timing, evolve finds no feasible point).
+template <class R>
+int cmdJob(const Args& args) {
+  constexpr bool isFlow = std::is_same_v<R, server::FlowRequest>;
+  const R request = requestFromArgs<R>(args);
+  core::TuningFlow flow(makeFlowConfigFor(request.job, args));
+  const server::JobResult result = server::runJob(request, flow);
   std::printf("%s\n", result.summary.c_str());
-  // The body choice mirrors the daemon's (json flag selects the rendering),
-  // so a --report file and a `client evolve --report` file are
-  // byte-identical for the same job.
-  const std::string& body = args.has("json") ? result.json : result.report;
   if (const auto out = args.get("report")) {
-    writeFile(*out, body);
-  } else {
-    std::fputs(body.c_str(), stdout);
+    writeFile(*out, result.body);
+  } else if (!isFlow) {
+    std::fputs(result.body.c_str(), stdout);
   }
-  return result.success ? 0 : 2;
-}
-
-int cmdFlow(const Args& args) {
-  core::TuningFlow flow(makeFlowConfig(args));
-  const core::FlowJob job = flowJobFromArgs(args);
-  // The summary line and report bytes come from the same renderer the
-  // daemon uses (core::runFlowJob), so `flow --report` output and a
-  // `client flow` response body are byte-identical by construction.
-  const core::FlowJobResult result = core::runFlowJob(flow, job);
-  std::printf("%s\n", result.summary.c_str());
-  if (const auto out = args.get("report")) writeFile(*out, result.report);
-
-  if (obs::metricsEnabled()) {
+  if (isFlow && obs::metricsEnabled()) {
     printStageTable(obs::MetricsRegistry::global().snapshot());
   }
-
-  if (args.has("cache-stats")) {
-    if (const artifact::ArtifactStore* store = flow.cache()) {
-      const artifact::StoreStats& s = store->stats();
-      const auto [files, bytes] = store->diskUsage();
-      std::printf(
-          "cache %s: %zu hits, %zu misses, %zu corrupt, %zu stores; "
-          "%.1f KB read, %.1f KB written; %zu entries / %.1f KB on disk\n",
-          store->root().c_str(), s.hits.load(), s.misses.load(),
-          s.corrupt.load(), s.stores.load(),
-          static_cast<double>(s.bytesRead.load()) / 1024.0,
-          static_cast<double>(s.bytesWritten.load()) / 1024.0, files,
-          static_cast<double>(bytes) / 1024.0);
-    } else {
-      std::printf("cache: disabled\n");
-    }
-  }
+  if (isFlow && args.has("cache-stats")) printCacheStats(flow);
   return result.success ? 0 : 2;
 }
 
@@ -708,67 +678,31 @@ int finishClientCall(const server::Response& response, const Args& args) {
   }
 }
 
+/// `sctune client` ops; one list for the usage text and the errors.
+constexpr const char* kClientOps =
+    "flow|scenario|evolve|lint|sta|ping|health|shutdown";
+
+template <class R>
+int sendRequest(server::Client& client, const Args& args) {
+  R request = requestFromArgs<R>(args);
+  request.deadlineMillis = args.getUint("deadline-ms", 0);
+  return finishClientCall(client.send(request), args);
+}
+
 int cmdClient(const std::string& op, const Args& args) {
   server::Client client = connectClient(args);
-  if (op == "flow") {
-    server::FlowRequest request;
-    request.job = flowJobFromArgs(args);
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.flow(request), args);
-  }
+  if (op == "flow") return sendRequest<server::FlowRequest>(client, args);
   if (op == "scenario") {
-    const postsi::ScenarioJob job = scenarioJobFromArgs(args);
-    server::ScenarioRequest request;
-    request.job = job.flow;
-    request.periods = job.periods;
-    request.scenarios = job.scenarios;
-    request.rangeMin = job.element.rangeMin;
-    request.rangeMax = job.element.rangeMax;
-    request.step = job.element.step;
-    request.areaPerElement = job.element.areaPerElement;
-    request.mcTrials = job.mcTrials;
-    request.mcSeed = job.mcSeed;
-    request.json = args.has("json");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.scenario(request), args);
+    return sendRequest<server::ScenarioRequest>(client, args);
   }
-  if (op == "evolve") {
-    const evo::EvolveJob job = evolveJobFromArgs(args);
-    server::EvolveRequest request;
-    request.job = job.flow;
-    request.params = job.params;
-    request.json = args.has("json");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.evolve(request), args);
-  }
-  if (op == "lint") {
-    server::LintRequest request;
-    request.artifactType = args.require("type");
-    request.content = readFile(args.require("path"));
-    request.json = args.has("json");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.lint(request), args);
-  }
-  if (op == "sta") {
-    server::StaRequest request;
-    request.libraryText = readFile(args.require("lib"));
-    request.netlistText = readFile(args.require("netlist"));
-    request.period = args.requireDouble("period");
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.sta(request), args);
-  }
-  if (op == "ping") {
-    server::PingRequest request;
-    request.echo = args.get("echo").value_or("");
-    request.sleepMillis = args.getUint("sleep-ms", 0);
-    request.deadlineMillis = args.getUint("deadline-ms", 0);
-    return finishClientCall(client.ping(request), args);
-  }
+  if (op == "evolve") return sendRequest<server::EvolveRequest>(client, args);
+  if (op == "lint") return sendRequest<server::LintRequest>(client, args);
+  if (op == "sta") return sendRequest<server::StaRequest>(client, args);
+  if (op == "ping") return sendRequest<server::PingRequest>(client, args);
   if (op == "health") return finishClientCall(client.health(), args);
   if (op == "shutdown") return finishClientCall(client.shutdown(), args);
-  throw std::runtime_error(
-      "unknown client op '" + op +
-      "' (flow|scenario|evolve|lint|sta|ping|health|shutdown)");
+  throw std::runtime_error("unknown client op '" + op + "' (" + kClientOps +
+                           ")");
 }
 
 int usage() {
@@ -811,12 +745,12 @@ int usage() {
       "                [--profile small|full] [--json] [--report report.txt]\n"
       "                + flow cache flags\n"
       "  client <op>   --socket PATH | --tcp-port N — run <op> on a sctuned\n"
-      "                daemon: flow (same flags as flow), scenario (same\n"
-      "                flags as scenario), evolve (same flags as evolve),\n"
-      "                lint (--path F\n"
-      "                --type T [--json]), sta (--lib F --netlist F\n"
-      "                --period <ns>), ping ([--sleep-ms N --echo TEXT]),\n"
-      "                health, shutdown; all ops accept --deadline-ms N\n"
+      "                daemon, <op> one of\n"
+      "                %s:\n"
+      "                flow, scenario and evolve take the local command's\n"
+      "                flags; lint --path F --type T [--json]; sta --lib F\n"
+      "                --netlist F --period <ns>; ping [--sleep-ms N\n"
+      "                --echo TEXT]; all ops accept --deadline-ms N\n"
       "  cache stats   --cache-dir DIR [--json]\n"
       "  cache gc      --cache-dir DIR [--max-bytes N] [--max-age seconds]\n"
       "                [--json]\n\n"
@@ -827,7 +761,8 @@ int usage() {
       "flow, synth and lint accept --trace-out trace.json (Chrome/Perfetto\n"
       "span trace), --metrics-out metrics.json and --obs-off; SCT_TRACE=1 /\n"
       "SCT_METRICS=1 enable collection without an output file. Observability\n"
-      "never changes any numeric artifact.\n");
+      "never changes any numeric artifact.\n",
+      kClientOps);
   return 1;
 }
 
@@ -857,9 +792,7 @@ int main(int argc, char** argv) {
   std::string clientOp;
   if (command == "client") {
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
-      std::fprintf(stderr,
-                   "client needs an op (flow|lint|sta|ping|health|"
-                   "shutdown)\n\n");
+      std::fprintf(stderr, "client needs an op (%s)\n\n", kClientOps);
       return usage();
     }
     clientOp = argv[2];
@@ -893,9 +826,9 @@ int main(int argc, char** argv) {
     else if (command == "synth") code = cmdSynth(args);
     else if (command == "report") code = cmdReport(args);
     else if (command == "lint") code = cmdLint(lintPath, args);
-    else if (command == "flow") code = cmdFlow(args);
-    else if (command == "scenario") code = cmdScenario(args);
-    else if (command == "evolve") code = cmdEvolve(args);
+    else if (command == "flow") code = cmdJob<server::FlowRequest>(args);
+    else if (command == "scenario") code = cmdJob<server::ScenarioRequest>(args);
+    else if (command == "evolve") code = cmdJob<server::EvolveRequest>(args);
     else if (command == "cache stats") code = cmdCacheStats(args);
     else if (command == "cache gc") code = cmdCacheGc(args);
     else if (command == "client") code = cmdClient(clientOp, args);
