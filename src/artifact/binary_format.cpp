@@ -12,12 +12,27 @@ namespace {
 constexpr std::size_t kHeaderBytes = 16;
 constexpr std::size_t kTableEntryBytes = kSectionNameBytes + 8 + 8 + 8;
 
+/// Appends `v` little-endian: one block copy on little-endian hosts (the
+/// encoders' hot path), a byte loop elsewhere.
+template <class U>
+void putLittleEndian(std::vector<std::byte>& out, U v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const std::size_t at = out.size();
+    out.resize(at + sizeof v);
+    std::memcpy(out.data() + at, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      out.push_back(std::byte((v >> (8 * i)) & 0xFF));
+    }
+  }
+}
+
 void putU32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::byte((v >> (8 * i)) & 0xFF));
+  putLittleEndian(out, v);
 }
 
 void putU64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(std::byte((v >> (8 * i)) & 0xFF));
+  putLittleEndian(out, v);
 }
 
 std::uint32_t getU32(const std::byte* p) noexcept {
@@ -122,13 +137,22 @@ std::vector<std::byte> SctbWriter::finish() const {
 
 // ---------------------------------------------------------------- reader --
 
-SctbReader SctbReader::fromBytes(std::span<const std::byte> bytes) {
+SctbReader SctbReader::copyOf(std::span<const std::byte> bytes,
+                              bool verifyChecksums) {
   SctbReader reader;
   reader.buffer_.resize((bytes.size() + 7) / 8, 0.0);
   std::memcpy(reader.buffer_.data(), bytes.data(), bytes.size());
   reader.size_ = bytes.size();
-  reader.parse();
+  reader.parse(verifyChecksums);
   return reader;
+}
+
+SctbReader SctbReader::fromBytes(std::span<const std::byte> bytes) {
+  return copyOf(bytes, /*verifyChecksums=*/true);
+}
+
+SctbReader SctbReader::fromWriter(const SctbWriter& writer) {
+  return copyOf(writer.finish(), /*verifyChecksums=*/false);
 }
 
 SctbReader SctbReader::fromFile(const std::string& path) {
@@ -151,11 +175,11 @@ SctbReader SctbReader::fromFile(const std::string& path) {
   std::fclose(file);
   if (got != size) throw FormatError("short read on " + path);
   reader.size_ = size;
-  reader.parse();
+  reader.parse(/*verifyChecksums=*/true);
   return reader;
 }
 
-void SctbReader::parse() {
+void SctbReader::parse(bool verifyChecksums) {
   if (size_ < kHeaderBytes) throw FormatError("file shorter than header");
   if (std::memcmp(data(), kMagic, 4) != 0) throw FormatError("bad magic");
   schema_version_ = getU32(data() + 4);
@@ -184,9 +208,8 @@ void SctbReader::parse() {
         section.size > size_ - section.offset) {
       throw FormatError("section '" + section.name + "' out of bounds");
     }
-    const std::uint64_t actual =
-        fnv1a64({data() + section.offset, section.size});
-    if (actual != checksum) {
+    if (verifyChecksums &&
+        fnv1a64({data() + section.offset, section.size}) != checksum) {
       throw FormatError("section '" + section.name + "' checksum mismatch");
     }
     sections_.push_back(std::move(section));

@@ -90,6 +90,10 @@ class SctbReader {
   /// truncated table/payload, checksum mismatch).
   static SctbReader fromBytes(std::span<const std::byte> bytes);
   static SctbReader fromFile(const std::string& path);
+  /// The container `writer` serializes, without re-verifying the checksums
+  /// its finish() just computed: the cache-miss path publishes rawBytes()
+  /// and keeps the reader for the memory tier from one serialization.
+  static SctbReader fromWriter(const SctbWriter& writer);
 
   [[nodiscard]] std::uint32_t schemaVersion() const noexcept {
     return schema_version_;
@@ -151,7 +155,9 @@ class SctbReader {
   };
 
   SctbReader() = default;
-  void parse();
+  static SctbReader copyOf(std::span<const std::byte> bytes,
+                           bool verifyChecksums);
+  void parse(bool verifyChecksums);
   [[nodiscard]] const std::byte* data() const noexcept {
     return reinterpret_cast<const std::byte*>(buffer_.data());
   }

@@ -143,7 +143,61 @@ netlist::Design generateSubject(const FlowConfig& config) {
                               "' (expected mcu|dsp|noc|big)");
 }
 
+/// Smallest encoded PathRecord: depth, four doubles and the endpoint's
+/// length prefix. Bounds a decoded path count before anything is allocated.
+constexpr std::size_t kMinPathRecordBytes = 6 * 8;
+
 }  // namespace
+
+void encodeMeasurement(artifact::SctbWriter& writer,
+                       const DesignMeasurement& measurement) {
+  writer.beginSection("measure");
+  writer.f64(measurement.clockPeriod);
+  writer.f64(measurement.design.mean);
+  writer.f64(measurement.design.sigma);
+  writer.u64(measurement.design.paths);
+  writer.f64(measurement.power.meanPower);
+  writer.f64(measurement.power.sigmaPower);
+  writer.u64(measurement.power.cells);
+  writer.u64(measurement.paths.size());
+  for (const PathRecord& path : measurement.paths) {
+    writer.u64(path.depth);
+    writer.f64(path.mean);
+    writer.f64(path.sigma);
+    writer.f64(path.arrival);
+    writer.f64(path.slack);
+    writer.str(path.endpoint);
+  }
+}
+
+DesignMeasurement decodeMeasurement(const artifact::SctbReader& reader) {
+  artifact::SctbReader::Cursor cursor = reader.section("measure");
+  DesignMeasurement out;
+  out.clockPeriod = cursor.f64();
+  out.design.mean = cursor.f64();
+  out.design.sigma = cursor.f64();
+  out.design.paths = cursor.u64();
+  out.power.meanPower = cursor.f64();
+  out.power.sigmaPower = cursor.f64();
+  out.power.cells = cursor.u64();
+  const std::uint64_t count = cursor.u64();
+  if (count > cursor.remaining() / kMinPathRecordBytes) {
+    throw artifact::FormatError("measure: path count exceeds payload");
+  }
+  out.paths.resize(count);
+  for (PathRecord& path : out.paths) {
+    path.depth = cursor.u64();
+    path.mean = cursor.f64();
+    path.sigma = cursor.f64();
+    path.arrival = cursor.f64();
+    path.slack = cursor.f64();
+    path.endpoint = cursor.str();
+  }
+  if (cursor.remaining() != 0) {
+    throw artifact::FormatError("measure: trailing bytes");
+  }
+  return out;
+}
 
 TuningFlow::TuningFlow(FlowConfig config)
     : config_(std::move(config)),
@@ -216,6 +270,26 @@ artifact::Digest TuningFlow::synthKey(double period,
   } else {
     h.u8(0);
   }
+  return h.digest();
+}
+
+artifact::Digest TuningFlow::measureKey(
+    double period, const tuning::TuningConfig* config) const {
+  // The synth key plus what measurement adds on top of synthesis: the stat
+  // library (MC count + seed, which the baseline synth key omits), rho and
+  // the power knobs. The nominal library and the power model's
+  // characterization already enter through flowHasher.
+  const artifact::Digest synth = synthKey(period, config);
+  artifact::Hasher h = flowHasher();
+  h.str("stage:measure")
+      .u64(synth.hi)
+      .u64(synth.lo)
+      .u64(config_.mcLibraryCount)
+      .u64(config_.mcSeed)
+      .f64(config_.rho)
+      .f64(config_.powerActivity)
+      .u64(config_.powerSamples)
+      .u64(config_.powerSeed);
   return h.digest();
 }
 
@@ -403,13 +477,24 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
       });
 }
 
+DesignMeasurement TuningFlow::synthesizeAndMeasure(
+    double period, const tuning::TuningConfig* config) {
+  synth::SynthesisResult synthesis = synthesizeCached(period, config);
+  DesignMeasurement out = cachedStage<DesignMeasurement>(
+      store_, mem_, "flow.stage.measure", measureKey(period, config),
+      [&] { return measureFields(synthesis, period); }, encodeMeasurement,
+      decodeMeasurement);
+  out.synthesis = std::move(synthesis);
+  return out;
+}
+
 DesignMeasurement TuningFlow::synthesizeBaseline(double period) {
-  return measure(synthesizeCached(period, nullptr), period);
+  return synthesizeAndMeasure(period, nullptr);
 }
 
 DesignMeasurement TuningFlow::synthesizeTuned(
     double period, const tuning::TuningConfig& config) {
-  return measure(synthesizeCached(period, &config), period);
+  return synthesizeAndMeasure(period, &config);
 }
 
 std::vector<sta::TimingPath> TuningFlow::tracePaths(
@@ -423,14 +508,20 @@ std::vector<sta::TimingPath> TuningFlow::tracePaths(
 
 DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
                                       double period) {
+  DesignMeasurement out = measureFields(result, period);
+  out.synthesis = std::move(result);
+  return out;
+}
+
+DesignMeasurement TuningFlow::measureFields(
+    const synth::SynthesisResult& result, double period) {
   SCT_TRACE_SPAN("flow.measure");
   DesignMeasurement out;
   out.clockPeriod = period;
-  out.synthesis = std::move(result);
 
   sta::ClockSpec clock = config_.clock;
   clock.period = period;
-  sta::TimingAnalyzer analyzer(out.synthesis.design, nominalLibrary(), clock);
+  sta::TimingAnalyzer analyzer(result.design, nominalLibrary(), clock);
   if (!analyzer.analyze()) return out;
 
   const std::vector<sta::TimingPath> paths = analyzer.endpointWorstPaths();
@@ -453,7 +544,7 @@ DesignMeasurement TuningFlow::measure(synth::SynthesisResult result,
   // sigma/area). Deterministic per-instance streams from powerSeed.
   const power::PowerModel powerModel(characterizer_.model());
   out.power = power::analyzeDesignPower(
-      out.synthesis.design, analyzer, characterizer_, powerModel,
+      result.design, analyzer, characterizer_, powerModel,
       config_.powerActivity, config_.powerSamples, config_.powerSeed);
   return out;
 }

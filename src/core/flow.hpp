@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/binary_format.hpp"
 #include "artifact/mem_cache.hpp"
 #include "artifact/store.hpp"
 #include "charlib/characterizer.hpp"
@@ -62,11 +63,12 @@ struct FlowConfig {
   /// Results are bit-identical for every setting.
   int threads = -1;
   /// Root of the content-addressed artifact cache; empty disables caching.
-  /// Each pipeline stage (characterize, merge, tune, synthesize) consults
-  /// the store before computing and skips to a warm SCTB load on a hit.
-  /// Keys hash all stage inputs (characterization config, MC count + seed,
-  /// tuning parameters, subject/clock/synthesis options, schema version),
-  /// so warm results are bit-identical to a cold run by construction.
+  /// Each pipeline stage (characterize, merge, tune, synthesize, measure)
+  /// consults the store before computing and skips to a warm SCTB load on a
+  /// hit. Keys hash all stage inputs (characterization config, MC count +
+  /// seed, tuning parameters, subject/clock/synthesis options, rho, power
+  /// knobs, schema version), so warm results are bit-identical to a cold
+  /// run by construction.
   std::string cacheDir{};
   /// Lint gate over each stage's input artifact. Lint reports are cached in
   /// the artifact store keyed by subject digest + lint::kRulePackVersion.
@@ -113,6 +115,16 @@ struct DesignMeasurement {
   [[nodiscard]] double sigma() const noexcept { return design.sigma; }
 };
 
+/// SCTB codec of the `flow.stage.measure` artifact: only the fields
+/// measurement adds on top of synthesis (clockPeriod, design, power, paths).
+/// `synthesis` is neither written nor read — it comes from its own stage, so
+/// no design bytes are stored twice. Decode bounds every count by the bytes
+/// left and rejects trailing bytes with artifact::FormatError.
+void encodeMeasurement(artifact::SctbWriter& writer,
+                       const DesignMeasurement& measurement);
+[[nodiscard]] DesignMeasurement decodeMeasurement(
+    const artifact::SctbReader& reader);
+
 class TuningFlow {
  public:
   explicit TuningFlow(FlowConfig config = {});
@@ -145,7 +157,11 @@ class TuningFlow {
   DesignMeasurement synthesizeTuned(double period,
                                     const tuning::TuningConfig& config);
 
-  /// Statistical measurement of an already-synthesized design.
+  /// Statistical measurement of an already-synthesized design. Uncached:
+  /// callers (the evolutionary tuner, ablation benches) measure designs
+  /// synthesized under constraints no TuningConfig describes, so there is
+  /// no stage key for them. synthesizeBaseline/synthesizeTuned go through
+  /// the cached `flow.stage.measure` stage instead.
   DesignMeasurement measure(synth::SynthesisResult result, double period);
 
   /// Traced endpoint worst paths of a synthesized design (for Monte-Carlo
@@ -200,11 +216,21 @@ class TuningFlow {
       const tuning::TuningConfig& config) const;
   [[nodiscard]] artifact::Digest synthKey(
       double period, const tuning::TuningConfig* config) const;
+  [[nodiscard]] artifact::Digest measureKey(
+      double period, const tuning::TuningConfig* config) const;
 
   /// Shared cached-synthesis stage behind synthesizeBaseline/synthesizeTuned
   /// (config == nullptr means the untuned baseline library).
   synth::SynthesisResult synthesizeCached(double period,
                                           const tuning::TuningConfig* config);
+  /// Cached synthesis followed by the cached measurement stage: a warm hit
+  /// decodes both artifacts and runs no STA, path statistics or power MC.
+  DesignMeasurement synthesizeAndMeasure(double period,
+                                         const tuning::TuningConfig* config);
+  /// Measurement of `result` without its synthesis: every field but
+  /// DesignMeasurement::synthesis, which stays default-constructed.
+  DesignMeasurement measureFields(const synth::SynthesisResult& result,
+                                  double period);
 
   /// Runs the selected rule packs over `subject` before a stage consumes it
   /// (cached by `stageKey` + rule-pack version). Throws std::runtime_error

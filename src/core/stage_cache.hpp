@@ -1,10 +1,11 @@
 #pragma once
 // Consult-then-compute wrapper shared by every cache-keyed pipeline stage
-// (DESIGN.md §10/§14): the flow's characterize/stat/tune/synth stages and
-// the post-silicon scenario runner all funnel through cachedStage so a
-// validated hit — from the in-memory tier first, then the on-disk store —
-// short-circuits the computation, misses coalesce through one process-wide
-// single-flight group, and published bytes serve warm runs bit-identically.
+// (DESIGN.md §10/§14): the flow's characterize/stat/tune/synth/measure
+// stages and the post-silicon scenario runner all funnel through cachedStage
+// so a validated hit — from the in-memory tier first, then the on-disk
+// store — short-circuits the computation, misses coalesce through one
+// process-wide single-flight group, and published bytes serve warm runs
+// bit-identically.
 
 #include <memory>
 #include <optional>
@@ -107,12 +108,10 @@ T cachedStage(artifact::ArtifactStore* store, artifact::MemoryArtifactCache* mem
   T value = compute();
   artifact::SctbWriter writer;
   encode(writer, value);
-  const std::vector<std::byte> bytes = writer.finish();
-  if (store != nullptr) store->publishBytes(key, bytes);
-  if (mem != nullptr) {
-    mem->put(key, std::make_shared<const artifact::SctbReader>(
-                      artifact::SctbReader::fromBytes(bytes)));
-  }
+  auto reader = std::make_shared<const artifact::SctbReader>(
+      artifact::SctbReader::fromWriter(writer));
+  if (store != nullptr) store->publishBytes(key, reader->rawBytes());
+  if (mem != nullptr) mem->put(key, std::move(reader));
   registry.counter(prefix + ".stores").inc();
   return finish(std::move(value));
 }

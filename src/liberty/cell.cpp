@@ -17,28 +17,28 @@ double Cell::inputCapacitance(std::string_view pin) const noexcept {
 }
 
 const Cell::DerivedIndex& Cell::index() const {
-  if (index_ == nullptr) {
-    auto idx = std::make_unique<DerivedIndex>();
+  DerivedIndex& idx = *index_;
+  if (idx.ready.load(std::memory_order_acquire)) return idx;
+  std::call_once(idx.built, [&] {
     for (const Pin& pin : pins_) {
-      (pin.direction == PinDirection::kInput ? idx->inputPins
-                                             : idx->outputPins)
+      (pin.direction == PinDirection::kInput ? idx.inputPins : idx.outputPins)
           .push_back(&pin);
     }
     for (const TimingArc& arc : arcs_) {
-      auto group = idx->fanout.begin();
-      for (; group != idx->fanout.end(); ++group) {
+      auto group = idx.fanout.begin();
+      for (; group != idx.fanout.end(); ++group) {
         if (group->first == arc.outputPin) break;
       }
-      if (group == idx->fanout.end()) {
-        idx->fanout.emplace_back(arc.outputPin,
-                                 std::vector<const TimingArc*>{});
-        group = std::prev(idx->fanout.end());
+      if (group == idx.fanout.end()) {
+        idx.fanout.emplace_back(arc.outputPin,
+                                std::vector<const TimingArc*>{});
+        group = std::prev(idx.fanout.end());
       }
       group->second.push_back(&arc);
     }
-    index_ = std::move(idx);
-  }
-  return *index_;
+    idx.ready.store(true, std::memory_order_release);
+  });
+  return idx;
 }
 
 std::span<const TimingArc* const> Cell::fanoutArcs(

@@ -3,7 +3,9 @@
 // arc holds the four LUTs of a related-pin/output-pin pair (rise/fall delay
 // and rise/fall output transition), exactly the tables the tuner restricts.
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -63,7 +65,8 @@ class Cell {
 
   // The derived pin/arc index (see below) holds pointers into pins_/arcs_;
   // copies must not share it. Moves keep the heap buffers, so the index
-  // stays valid and travels with the cell.
+  // stays valid and travels with the cell (a moved-from cell must be
+  // reassigned before it is queried again).
   Cell(const Cell& other)
       : name_(other.name_),
         function_(other.function_),
@@ -85,7 +88,7 @@ class Cell {
     setup_lut_ = other.setup_lut_;
     pins_ = other.pins_;
     arcs_ = other.arcs_;
-    index_.reset();
+    invalidateIndex();
     return *this;
   }
   Cell(Cell&&) noexcept = default;
@@ -124,24 +127,24 @@ class Cell {
   void setHoldTime(double t) noexcept { hold_time_ = t; }
 
   [[nodiscard]] const std::vector<Pin>& pins() const noexcept { return pins_; }
-  [[nodiscard]] std::vector<Pin>& pins() noexcept {
-    index_.reset();  // caller may mutate through the reference
+  [[nodiscard]] std::vector<Pin>& pins() {
+    invalidateIndex();  // caller may mutate through the reference
     return pins_;
   }
   [[nodiscard]] const std::vector<TimingArc>& arcs() const noexcept {
     return arcs_;
   }
-  [[nodiscard]] std::vector<TimingArc>& arcs() noexcept {
-    index_.reset();
+  [[nodiscard]] std::vector<TimingArc>& arcs() {
+    invalidateIndex();
     return arcs_;
   }
 
   void addPin(Pin pin) {
-    index_.reset();
+    invalidateIndex();
     pins_.push_back(std::move(pin));
   }
   void addArc(TimingArc arc) {
-    index_.reset();
+    invalidateIndex();
     arcs_.push_back(std::move(arc));
   }
 
@@ -160,16 +163,29 @@ class Cell {
   [[nodiscard]] std::span<const Pin* const> outputPins() const;
 
  private:
-  /// Derived views of pins_/arcs_, built lazily on first query and dropped
+  /// Derived views of pins_/arcs_, built lazily on first query and replaced
   /// on any mutation. Pointers target the owning cell's vectors (stable
-  /// across moves, rebuilt on copy).
+  /// across moves, rebuilt on copy). The build runs under `built`, so
+  /// threads sharing one library (evolve fitness, daemon sessions) query a
+  /// const cell concurrently without racing to publish two indexes.
   struct DerivedIndex {
+    std::once_flag built;
+    /// Set last inside the once-call and checked first, so querying a
+    /// built index costs one acquire load instead of a call_once.
+    std::atomic<bool> ready{false};
     std::vector<const Pin*> inputPins;
     std::vector<const Pin*> outputPins;
     /// Arcs grouped per output pin, in arc declaration order.
     std::vector<std::pair<std::string, std::vector<const TimingArc*>>> fanout;
   };
   const DerivedIndex& index() const;
+  /// Mutators hold the cell exclusively, so they may swap the slot; a slot
+  /// that was never built is still valid and is kept.
+  void invalidateIndex() {
+    if (index_ == nullptr || index_->ready.load(std::memory_order_relaxed)) {
+      index_ = std::make_unique<DerivedIndex>();
+    }
+  }
 
   std::string name_;
   CellFunction function_ = CellFunction::kInv;
@@ -180,7 +196,7 @@ class Cell {
   Lut setup_lut_;  ///< rows: data slew, cols: clock slew; empty = scalar
   std::vector<Pin> pins_;
   std::vector<TimingArc> arcs_;
-  mutable std::unique_ptr<DerivedIndex> index_;
+  std::unique_ptr<DerivedIndex> index_ = std::make_unique<DerivedIndex>();
 };
 
 }  // namespace sct::liberty

@@ -59,12 +59,16 @@ bool isRequestType(std::uint32_t raw) noexcept {
   }
 }
 
-std::vector<std::byte> encodeResponse(const Response& r) {
-  SctbWriter writer;
+void encodeResponse(SctbWriter& writer, const Response& r) {
   writer.beginSection(kResponseSection);
   writer.u8(static_cast<std::uint8_t>(r.status));
   writer.str(r.summary);
   writer.str(r.body);
+}
+
+std::vector<std::byte> encodeResponse(const Response& r) {
+  SctbWriter writer;
+  encodeResponse(writer, r);
   return writer.finish();
 }
 

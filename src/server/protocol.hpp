@@ -319,6 +319,7 @@ template <class R>
   return h.digest();
 }
 
+void encodeResponse(artifact::SctbWriter& writer, const Response& r);
 [[nodiscard]] std::vector<std::byte> encodeResponse(const Response& r);
 [[nodiscard]] Response decodeResponse(std::span<const std::byte> bytes);
 

@@ -1,5 +1,7 @@
 #include "server/service.hpp"
 
+#include <chrono>
+#include <cstdint>
 #include <exception>
 #include <optional>
 #include <sstream>
@@ -62,6 +64,21 @@ Response timeoutResponse(const char* what) {
   r.status = Status::kTimeout;
   r.summary = what;
   return r;
+}
+
+/// Absolute deadline of a request received at `received`. 0 and any value
+/// past the clock's range mean "no deadline": the wire field is an unbounded
+/// u64, and adding it unchecked would wrap (2^64-1 ms is -1 ms as a signed
+/// count) or overflow the clock's signed nanoseconds.
+TuningService::Clock::time_point deadlineFor(
+    TuningService::Clock::time_point received, std::uint64_t millis) {
+  using Clock = TuningService::Clock;
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - received);
+  if (millis == 0 || millis >= static_cast<std::uint64_t>(headroom.count())) {
+    return Clock::time_point::max();
+  }
+  return received + std::chrono::milliseconds(millis);
 }
 
 std::vector<std::byte> encodeStatic(Status status, const char* summary) {
@@ -186,9 +203,10 @@ Response TuningService::cachedResponse(
   if (response.status == Status::kOk) {
     // Publish the encoded bytes; later hits decode this exact container,
     // so cached and fresh responses are byte-identical.
-    const std::vector<std::byte> bytes = encodeResponse(response);
+    artifact::SctbWriter writer;
+    encodeResponse(writer, response);
     mem_.put(key, std::make_shared<const artifact::SctbReader>(
-                      artifact::SctbReader::fromBytes(bytes)));
+                      artifact::SctbReader::fromWriter(writer)));
   }
   return response;
 }
@@ -199,9 +217,7 @@ Response TuningService::serve(std::span<const std::byte> payload,
   const R request = decodeRequest<R>(payload);
   SCT_TRACE_SPAN(R::kSpan);
   const Clock::time_point deadline =
-      request.deadlineMillis == 0
-          ? Clock::time_point::max()
-          : received + std::chrono::milliseconds(request.deadlineMillis);
+      deadlineFor(received, request.deadlineMillis);
   if (Clock::now() >= deadline) {
     return timeoutResponse("deadline expired before compute started");
   }

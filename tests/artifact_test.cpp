@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -206,6 +207,27 @@ TEST(Sctb, FromFileMatchesFromBytes) {
   EXPECT_EQ(reader.fileSize(), bytes.size());
   EXPECT_THROW((void)SctbReader::fromFile((dir.path / "nope.sctb").string()),
                FormatError);
+}
+
+TEST(Sctb, FromWriterServesTheFinishedBytes) {
+  SctbWriter writer;
+  writer.beginSection("s");
+  writer.u32(0xfeedu);
+  writer.str("miss path");
+  writer.beginSection("bulk");
+  writer.f64span(std::vector<double>{6.0, 7.0});
+  const std::vector<std::byte> bytes = writer.finish();
+
+  const SctbReader reader = SctbReader::fromWriter(writer);
+  const std::span<const std::byte> raw = reader.rawBytes();
+  ASSERT_EQ(raw.size(), bytes.size());
+  EXPECT_TRUE(std::equal(raw.begin(), raw.end(), bytes.begin()));
+  // The checksums it skipped verifying are the ones a disk read checks.
+  EXPECT_NO_THROW((void)SctbReader::fromBytes(raw));
+  SctbReader::Cursor cursor = reader.section("s");
+  EXPECT_EQ(cursor.u32(), 0xfeedu);
+  EXPECT_EQ(cursor.str(), "miss path");
+  EXPECT_EQ(reader.section("bulk").f64span()[1], 7.0);
 }
 
 // ------------------------------------------------------- codec fidelity ----

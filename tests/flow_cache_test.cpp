@@ -1,14 +1,21 @@
 // Cold-vs-warm equivalence of the resumable flow: a second TuningFlow over
-// the same cache directory must serve characterization, stat-merge, tuning
-// and synthesis from the artifact store and produce bit-identical results.
+// the same cache directory must serve characterization, stat-merge, tuning,
+// synthesis and measurement from the artifact store and produce
+// bit-identical results.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "artifact/binary_format.hpp"
 #include "core/flow.hpp"
 #include "liberty/liberty_io.hpp"
+#include "obs/metrics.hpp"
 #include "statlib/stat_io.hpp"
 #include "tuning/constraints_io.hpp"
 
@@ -48,7 +55,13 @@ void expectBitIdentical(const DesignMeasurement& warm,
   EXPECT_EQ(warm.synthesis.area, cold.synthesis.area);
   EXPECT_EQ(warm.synthesis.design.gateCount(),
             cold.synthesis.design.gateCount());
+  EXPECT_EQ(warm.clockPeriod, cold.clockPeriod);
+  EXPECT_EQ(warm.design.mean, cold.design.mean);
   EXPECT_EQ(warm.design.sigma, cold.design.sigma);
+  EXPECT_EQ(warm.design.paths, cold.design.paths);
+  EXPECT_EQ(warm.power.meanPower, cold.power.meanPower);
+  EXPECT_EQ(warm.power.sigmaPower, cold.power.sigmaPower);
+  EXPECT_EQ(warm.power.cells, cold.power.cells);
   ASSERT_EQ(warm.paths.size(), cold.paths.size());
   for (std::size_t i = 0; i < warm.paths.size(); ++i) {
     EXPECT_EQ(warm.paths[i].endpoint, cold.paths[i].endpoint);
@@ -58,6 +71,52 @@ void expectBitIdentical(const DesignMeasurement& warm,
     EXPECT_EQ(warm.paths[i].arrival, cold.paths[i].arrival);
     EXPECT_EQ(warm.paths[i].slack, cold.paths[i].slack);
   }
+}
+
+/// Stage-counter deltas of one call, read from the global metrics registry.
+class StageCounters {
+ public:
+  explicit StageCounters(const std::function<void()>& run) {
+    obs::setMetricsEnabled(true);
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+    before_ = registry.snapshot();
+    run();
+    after_ = registry.snapshot();
+    obs::setMetricsEnabled(false);
+  }
+  /// Delta of `flow.stage.<stage>.<counter>`.
+  [[nodiscard]] std::uint64_t operator()(const std::string& stage,
+                                         const std::string& counter) const {
+    const std::string name = "flow.stage." + stage + "." + counter;
+    return after_.counterValue(name) - before_.counterValue(name);
+  }
+
+ private:
+  obs::MetricsSnapshot before_;
+  obs::MetricsSnapshot after_;
+};
+
+/// The one cached measurement artifact under `dir` (found by its section).
+fs::path measureArtifact(const fs::path& dir) {
+  fs::path found;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    try {
+      if (artifact::SctbReader::fromFile(entry.path().string())
+              .hasSection("measure")) {
+        EXPECT_TRUE(found.empty()) << "two measurement artifacts";
+        found = entry.path();
+      }
+    } catch (const artifact::FormatError&) {
+    }
+  }
+  return found;
+}
+
+void writeBytes(const fs::path& path, const std::vector<std::byte>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 TEST(FlowCache, WarmRunHitsEveryStageBitIdentically) {
@@ -70,7 +129,8 @@ TEST(FlowCache, WarmRunHitsEveryStageBitIdentically) {
   ASSERT_NE(cold.cache(), nullptr);
   const DesignMeasurement coldRun = cold.synthesizeTuned(8.0, tc);
   ASSERT_TRUE(coldRun.success());
-  EXPECT_GE(cold.cache()->stats().stores, 4u);  // nominal+stat+tune+synth
+  // nominal + stat + tune + synth + measure (plus the lint reports)
+  EXPECT_GE(cold.cache()->stats().stores, 5u);
   const std::string coldLib = liberty::writeLibraryToString(
       cold.nominalLibrary());
   const std::string coldStat =
@@ -80,13 +140,19 @@ TEST(FlowCache, WarmRunHitsEveryStageBitIdentically) {
 
   // A fresh flow over the same cache directory: every stage must be served
   // from the store (zero misses) and reproduce the cold results exactly.
+  // The measurement hit makes the statistical library unnecessary, so its
+  // stage is never even probed.
   TuningFlow warm(smallConfig(dir));
-  const DesignMeasurement warmRun = warm.synthesizeTuned(8.0, tc);
+  DesignMeasurement warmRun;
+  const StageCounters counters([&] { warmRun = warm.synthesizeTuned(8.0, tc); });
   ASSERT_NE(warm.cache(), nullptr);
   EXPECT_EQ(warm.cache()->stats().misses, 0u);
   EXPECT_EQ(warm.cache()->stats().corrupt, 0u);
   EXPECT_EQ(warm.cache()->stats().stores, 0u);
-  EXPECT_GE(warm.cache()->stats().hits, 3u);  // nominal, stat, synth
+  EXPECT_GE(warm.cache()->stats().hits, 3u);  // nominal, synth, measure
+  EXPECT_EQ(counters("measure", "hits"), 1u);
+  EXPECT_EQ(counters("measure", "misses"), 0u);
+  EXPECT_EQ(counters("stat", "probes"), 0u);
   expectBitIdentical(warmRun, coldRun);
   EXPECT_EQ(liberty::writeLibraryToString(warm.nominalLibrary()), coldLib);
   EXPECT_EQ(statlib::writeStatLibraryToString(warm.statLibrary()), coldStat);
@@ -135,6 +201,111 @@ TEST(FlowCache, DifferentInputsUseDifferentKeys) {
   (void)second.statLibrary();
   EXPECT_GE(second.cache()->stats().misses, 1u);
   EXPECT_GT(second.cache()->diskUsage().first, usageAfterFirst.first);
+
+  fs::remove_all(dir);
+}
+
+TEST(FlowCache, MeasureKeyCoversEveryMeasurementInput) {
+  const fs::path dir = fs::temp_directory_path() / "sct_flow_measure_key_test";
+  fs::remove_all(dir);
+  {
+    TuningFlow first(smallConfig(dir));
+    ASSERT_TRUE(first.synthesizeBaseline(8.0).success());
+  }
+
+  // Each variant changes one input that only measurement reads: the
+  // baseline synthesis must still hit, the measurement must miss, and the
+  // result must be what a store-less flow computes for the same config.
+  const std::vector<std::pair<const char*, std::function<void(FlowConfig&)>>>
+      variants = {
+          {"rho", [](FlowConfig& c) { c.rho = 0.3; }},
+          {"powerSeed", [](FlowConfig& c) { c.powerSeed += 1; }},
+          {"powerSamples", [](FlowConfig& c) { c.powerSamples = 20; }},
+          {"powerActivity", [](FlowConfig& c) { c.powerActivity = 0.2; }},
+          {"mcSeed", [](FlowConfig& c) { c.mcSeed += 1; }},
+      };
+  for (const auto& [name, apply] : variants) {
+    SCOPED_TRACE(name);
+    FlowConfig config = smallConfig(dir);
+    apply(config);
+    TuningFlow cached(config);
+    DesignMeasurement run;
+    const StageCounters counters([&] { run = cached.synthesizeBaseline(8.0); });
+    EXPECT_EQ(counters("synth", "hits"), 1u);
+    EXPECT_EQ(counters("measure", "misses"), 1u);
+    EXPECT_EQ(counters("measure", "hits"), 0u);
+
+    config.cacheDir.clear();
+    TuningFlow uncached(config);
+    expectBitIdentical(run, uncached.synthesizeBaseline(8.0));
+  }
+
+  fs::remove_all(dir);
+}
+
+TEST(FlowCache, HostileMeasureArtifactRecomputes) {
+  const fs::path dir = fs::temp_directory_path() / "sct_flow_measure_hostile";
+  fs::remove_all(dir);
+  TuningFlow cold(smallConfig(dir));
+  const DesignMeasurement coldRun = cold.synthesizeBaseline(8.0);
+  ASSERT_TRUE(coldRun.success());
+  ASSERT_GE(coldRun.paths.size(), 2u);
+  const fs::path path = measureArtifact(dir);
+  ASSERT_FALSE(path.empty());
+
+  // A well-formed container whose measure section declares `count` paths
+  // but carries only the first `written`, plus optional trailing bytes.
+  const auto hostile = [&](std::uint64_t count, std::size_t written,
+                           bool trailing) {
+    // Written field for field (the encodeMeasurement layout) so the
+    // declared count can lie while the container checksums stay valid.
+    artifact::SctbWriter writer;
+    writer.beginSection("measure");
+    writer.f64(coldRun.clockPeriod);
+    writer.f64(coldRun.design.mean);
+    writer.f64(coldRun.design.sigma);
+    writer.u64(coldRun.design.paths);
+    writer.f64(coldRun.power.meanPower);
+    writer.f64(coldRun.power.sigmaPower);
+    writer.u64(coldRun.power.cells);
+    writer.u64(count);
+    for (std::size_t i = 0; i < written; ++i) {
+      const PathRecord& p = coldRun.paths[i];
+      writer.u64(p.depth);
+      writer.f64(p.mean);
+      writer.f64(p.sigma);
+      writer.f64(p.arrival);
+      writer.f64(p.slack);
+      writer.str(p.endpoint);
+    }
+    if (trailing) writer.u64(0);
+    return writer.finish();
+  };
+  std::vector<std::byte> cut;
+  {
+    artifact::SctbWriter writer;
+    encodeMeasurement(writer, coldRun);
+    cut = writer.finish();
+    cut.resize(cut.size() / 2);
+  }
+  const std::vector<std::pair<const char*, std::vector<std::byte>>> cases = {
+      {"file cut in half", cut},
+      {"section truncated",
+       hostile(coldRun.paths.size(), coldRun.paths.size() / 2, false)},
+      {"path count 2^62", hostile(std::uint64_t{1} << 62, 1, false)},
+      {"trailing bytes",
+       hostile(coldRun.paths.size(), coldRun.paths.size(), true)},
+  };
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    writeBytes(path, bytes);
+    TuningFlow warm(smallConfig(dir));
+    DesignMeasurement run;
+    const StageCounters counters([&] { run = warm.synthesizeBaseline(8.0); });
+    EXPECT_EQ(counters("synth", "hits"), 1u);
+    EXPECT_EQ(counters("measure", "misses"), 1u);
+    expectBitIdentical(run, coldRun);
+  }
 
   fs::remove_all(dir);
 }

@@ -456,6 +456,20 @@ TEST(ServerTest, ExpiredDeadlineAnswersTimeout) {
   occupant.join();
 }
 
+TEST(ServerTest, DeadlinePastTheClockRangeMeansNoDeadline) {
+  // 2^64-1 ms would wrap to -1 ms as a signed count, and 2^62 ms overflows
+  // the clock's signed nanoseconds; both mean "no deadline".
+  TempDir dir("sct_server_huge_deadline");
+  TestServer srv(dir);
+  Client client = srv.connect();
+  for (const std::uint64_t millis :
+       {std::numeric_limits<std::uint64_t>::max(), std::uint64_t{1} << 62}) {
+    server::PingRequest request;
+    request.deadlineMillis = millis;
+    EXPECT_EQ(client.ping(request).status, Status::kOk) << millis;
+  }
+}
+
 TEST(ServerTest, GracefulStopDrainsInFlightRequests) {
   TempDir dir("sct_server_drain");
   TestServer srv(dir, /*sessionThreads=*/2);
