@@ -427,26 +427,6 @@ void BM_FlowWarmCache(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowWarmCache)->Unit(benchmark::kMillisecond);
 
-// Warm flow with the in-memory artifact tier disabled (the CLI's
-// --no-mem-cache): every stage probe decodes from the disk file again.
-// Compare against BM_FlowWarmCache — the delta is what the memory tier buys
-// a single-shot invocation.
-void BM_FlowWarmCacheNoMem(benchmark::State& state) {
-  std::filesystem::remove_all(flowBenchCacheDir());
-  {
-    core::TuningFlow seed(flowBenchConfig(flowBenchCacheDir()));
-    benchmark::DoNotOptimize(seed.synthesizeBaseline(8.0));
-  }
-  for (auto _ : state) {
-    core::FlowConfig config = flowBenchConfig(flowBenchCacheDir());
-    config.memCacheBytes = 0;
-    core::TuningFlow flow(std::move(config));
-    benchmark::DoNotOptimize(flow.synthesizeBaseline(8.0));
-  }
-  std::filesystem::remove_all(flowBenchCacheDir());
-}
-BENCHMARK(BM_FlowWarmCacheNoMem)->Unit(benchmark::kMillisecond);
-
 // Observability overhead pair (DESIGN.md §12): the same uncached flow with
 // everything off vs tracing + metrics on. The CI obs-overhead job fails if
 // the traced variant regresses more than the budget over the off variant.

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "artifact/fields.hpp"
+
 namespace sct::artifact {
 namespace {
 
@@ -428,36 +430,13 @@ netlist::Design decodeDesign(const SctbReader& reader,
 
 void encodeSynthesisResult(SctbWriter& writer,
                            const synth::SynthesisResult& result) {
-  writer.beginSection("synth.meta");
-  writer.boolean(result.timingMet);
-  writer.boolean(result.legal);
-  writer.f64(result.worstSlack);
-  writer.f64(result.tns);
-  writer.f64(result.area);
-  writer.u64(result.passes);
-  writer.u64(result.buffersInserted);
-  writer.u64(result.decomposed);
-  writer.u64(result.patternRewrites);
-  writer.u64(result.resizes);
-  writer.u64(result.violations);
+  writeRecord(writer, result);
   encodeDesign(writer, result.design);
 }
 
 synth::SynthesisResult decodeSynthesisResult(const SctbReader& reader,
                                              const liberty::Library* library) {
-  SctbReader::Cursor meta = reader.section("synth.meta");
-  synth::SynthesisResult result;
-  result.timingMet = meta.boolean();
-  result.legal = meta.boolean();
-  result.worstSlack = meta.f64();
-  result.tns = meta.f64();
-  result.area = meta.f64();
-  result.passes = meta.u64();
-  result.buffersInserted = meta.u64();
-  result.decomposed = meta.u64();
-  result.patternRewrites = meta.u64();
-  result.resizes = meta.u64();
-  result.violations = meta.u64();
+  synth::SynthesisResult result = readRecord<synth::SynthesisResult>(reader);
   result.design = decodeDesign(reader, library);
   return result;
 }

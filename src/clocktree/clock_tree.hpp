@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "artifact/fields.hpp"
+
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
 #include "statlib/stat_library.hpp"
@@ -74,6 +76,11 @@ struct TuningElementSpec {
     return rangeMin + steps * step;
   }
 };
+
+template <artifact::FieldsOf<TuningElementSpec> E>
+auto fields(E& e) {
+  return std::tie(e.rangeMin, e.rangeMax, e.step, e.areaPerElement);
+}
 
 /// One level of the balanced tree (level 0 drives the flip-flop pins).
 struct TreeLevel {

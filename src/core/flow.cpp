@@ -143,61 +143,11 @@ netlist::Design generateSubject(const FlowConfig& config) {
                               "' (expected mcu|dsp|noc|big)");
 }
 
-/// Smallest encoded PathRecord: depth, four doubles and the endpoint's
-/// length prefix. Bounds a decoded path count before anything is allocated.
-constexpr std::size_t kMinPathRecordBytes = 6 * 8;
+/// Byte bound of the private in-memory tier a flow puts in front of the
+/// store it owns (DESIGN.md §14).
+constexpr std::uint64_t kPrivateMemCacheBytes = 64ull << 20;
 
 }  // namespace
-
-void encodeMeasurement(artifact::SctbWriter& writer,
-                       const DesignMeasurement& measurement) {
-  writer.beginSection("measure");
-  writer.f64(measurement.clockPeriod);
-  writer.f64(measurement.design.mean);
-  writer.f64(measurement.design.sigma);
-  writer.u64(measurement.design.paths);
-  writer.f64(measurement.power.meanPower);
-  writer.f64(measurement.power.sigmaPower);
-  writer.u64(measurement.power.cells);
-  writer.u64(measurement.paths.size());
-  for (const PathRecord& path : measurement.paths) {
-    writer.u64(path.depth);
-    writer.f64(path.mean);
-    writer.f64(path.sigma);
-    writer.f64(path.arrival);
-    writer.f64(path.slack);
-    writer.str(path.endpoint);
-  }
-}
-
-DesignMeasurement decodeMeasurement(const artifact::SctbReader& reader) {
-  artifact::SctbReader::Cursor cursor = reader.section("measure");
-  DesignMeasurement out;
-  out.clockPeriod = cursor.f64();
-  out.design.mean = cursor.f64();
-  out.design.sigma = cursor.f64();
-  out.design.paths = cursor.u64();
-  out.power.meanPower = cursor.f64();
-  out.power.sigmaPower = cursor.f64();
-  out.power.cells = cursor.u64();
-  const std::uint64_t count = cursor.u64();
-  if (count > cursor.remaining() / kMinPathRecordBytes) {
-    throw artifact::FormatError("measure: path count exceeds payload");
-  }
-  out.paths.resize(count);
-  for (PathRecord& path : out.paths) {
-    path.depth = cursor.u64();
-    path.mean = cursor.f64();
-    path.sigma = cursor.f64();
-    path.arrival = cursor.f64();
-    path.slack = cursor.f64();
-    path.endpoint = cursor.str();
-  }
-  if (cursor.remaining() != 0) {
-    throw artifact::FormatError("measure: trailing bytes");
-  }
-  return out;
-}
 
 TuningFlow::TuningFlow(FlowConfig config)
     : config_(std::move(config)),
@@ -218,12 +168,12 @@ TuningFlow::TuningFlow(FlowConfig config)
   }
   if (config_.sharedMemCache != nullptr) {
     mem_ = config_.sharedMemCache;
-  } else if (config_.memCacheBytes > 0 && store_ != nullptr) {
+  } else if (store_ != nullptr) {
     // Private memory tier: repeated probes of the same stage inside one
     // invocation (tune for the report digest, lint gates, sweeps) decode
     // from the shared reader instead of re-reading the cache file.
     ownedMem_ =
-        std::make_unique<artifact::MemoryArtifactCache>(config_.memCacheBytes);
+        std::make_unique<artifact::MemoryArtifactCache>(kPrivateMemCacheBytes);
     mem_ = ownedMem_.get();
   }
 }
@@ -317,12 +267,7 @@ const liberty::Library& TuningFlow::nominalLibrary() {
               return characterizer_.characterizeNominal(
                   charlib::ProcessCorner::typical());
             },
-            [](artifact::SctbWriter& writer, const liberty::Library& lib) {
-              artifact::encodeLibrary(writer, lib);
-            },
-            [](const artifact::SctbReader& reader) {
-              return artifact::decodeLibrary(reader);
-            }));
+            artifact::encodeLibrary, artifact::decodeLibrary));
     // Gate before the member is set: a failed gate leaves the flow without a
     // nominal library, so a retried call re-lints instead of serving the
     // tainted artifact.
@@ -347,13 +292,7 @@ const statlib::StatLibrary& TuningFlow::statLibrary() {
                       config_.mcLibraryCount, config_.mcSeed);
               return statlib::buildStatLibrary(instances);
             },
-            [](artifact::SctbWriter& writer,
-               const statlib::StatLibrary& lib) {
-              artifact::encodeStatLibrary(writer, lib);
-            },
-            [](const artifact::SctbReader& reader) {
-              return artifact::decodeStatLibrary(reader);
-            }));
+            artifact::encodeStatLibrary, artifact::decodeStatLibrary));
     if (config_.lintMode != LintMode::kOff) {
       lint::LintSubject subject;
       subject.statLibrary = library.get();
@@ -390,13 +329,7 @@ tuning::LibraryConstraints TuningFlow::tune(const tuning::TuningConfig& config) 
       cachedStage<tuning::LibraryConstraints>(
           store_, mem_, "flow.stage.tune", tuneKey(config),
           [&] { return tuning::tuneLibrary(statLibrary(), config); },
-          [](artifact::SctbWriter& writer,
-             const tuning::LibraryConstraints& value) {
-            artifact::encodeConstraints(writer, value);
-          },
-          [](const artifact::SctbReader& reader) {
-            return artifact::decodeConstraints(reader);
-          });
+          artifact::encodeConstraints, artifact::decodeConstraints);
   if (config_.lintMode != LintMode::kOff) {
     lint::LintSubject subject;
     subject.constraints = &constraints;
@@ -425,12 +358,7 @@ void TuningFlow::lintGate(std::string_view stageName,
   const lint::LintReport report = cachedStage<lint::LintReport>(
       store_, mem_, "flow.stage.lint", h.digest(),
       [&] { return linter_.run(subject, packs); },
-      [](artifact::SctbWriter& writer, const lint::LintReport& value) {
-        artifact::encodeLintReport(writer, value);
-      },
-      [](const artifact::SctbReader& reader) {
-        return artifact::decodeLintReport(reader);
-      });
+      artifact::encodeLintReport, artifact::decodeLintReport);
   if (report.empty()) return;
   if (report.hasErrors() && config_.lintMode == LintMode::kError) {
     constexpr std::size_t kMaxShown = 10;
@@ -469,9 +397,7 @@ synth::SynthesisResult TuningFlow::synthesizeCached(
         clock.period = period;
         return synthesizer.run(subject(), clock, config_.synthesis);
       },
-      [](artifact::SctbWriter& writer, const synth::SynthesisResult& result) {
-        artifact::encodeSynthesisResult(writer, result);
-      },
+      artifact::encodeSynthesisResult,
       [&library](const artifact::SctbReader& reader) {
         return artifact::decodeSynthesisResult(reader, &library);
       });
@@ -482,8 +408,9 @@ DesignMeasurement TuningFlow::synthesizeAndMeasure(
   synth::SynthesisResult synthesis = synthesizeCached(period, config);
   DesignMeasurement out = cachedStage<DesignMeasurement>(
       store_, mem_, "flow.stage.measure", measureKey(period, config),
-      [&] { return measureFields(synthesis, period); }, encodeMeasurement,
-      decodeMeasurement);
+      [&] { return measureFields(synthesis, period); },
+      artifact::writeRecord<DesignMeasurement>,
+      artifact::readRecord<DesignMeasurement>);
   out.synthesis = std::move(synthesis);
   return out;
 }

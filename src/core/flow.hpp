@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "artifact/binary_format.hpp"
+#include "artifact/fields.hpp"
 #include "artifact/mem_cache.hpp"
 #include "artifact/store.hpp"
 #include "charlib/characterizer.hpp"
@@ -73,13 +73,6 @@ struct FlowConfig {
   /// Lint gate over each stage's input artifact. Lint reports are cached in
   /// the artifact store keyed by subject digest + lint::kRulePackVersion.
   LintMode lintMode = LintMode::kError;
-  /// Byte bound of the in-memory artifact tier layered in front of the
-  /// on-disk store (DESIGN.md §14): repeated stage probes decode from a
-  /// shared validated reader instead of re-reading the cache file. 0
-  /// disables the tier; it only engages when a disk store is active (or a
-  /// sharedMemCache is injected), and never changes results — memory hits
-  /// serve the exact bytes a disk hit would.
-  std::uint64_t memCacheBytes = 64ull << 20;
   /// Externally-owned cache tiers for long-lived processes (the sctuned
   /// daemon shares one store + one memory cache across every session).
   /// sharedStore overrides cacheDir; neither is owned by the flow.
@@ -103,6 +96,11 @@ struct PathRecord {
   std::string endpoint;
 };
 
+template <artifact::FieldsOf<PathRecord> P>
+auto fields(P& p) {
+  return std::tie(p.depth, p.mean, p.sigma, p.arrival, p.slack, p.endpoint);
+}
+
 struct DesignMeasurement {
   synth::SynthesisResult synthesis;
   variation::DesignStats design;  ///< eq. (11) aggregate
@@ -110,20 +108,21 @@ struct DesignMeasurement {
   power::DesignPower power;       ///< dynamic-power mean/sigma totals
   double clockPeriod = 0.0;
 
+  /// Artifact section of the `flow.stage.measure` record.
+  static constexpr const char* kSection = "measure";
+
   [[nodiscard]] bool success() const noexcept { return synthesis.success(); }
   [[nodiscard]] double area() const noexcept { return synthesis.area; }
   [[nodiscard]] double sigma() const noexcept { return design.sigma; }
 };
 
-/// SCTB codec of the `flow.stage.measure` artifact: only the fields
-/// measurement adds on top of synthesis (clockPeriod, design, power, paths).
-/// `synthesis` is neither written nor read — it comes from its own stage, so
-/// no design bytes are stored twice. Decode bounds every count by the bytes
-/// left and rejects trailing bytes with artifact::FormatError.
-void encodeMeasurement(artifact::SctbWriter& writer,
-                       const DesignMeasurement& measurement);
-[[nodiscard]] DesignMeasurement decodeMeasurement(
-    const artifact::SctbReader& reader);
+/// The measure record: only what measurement adds on top of synthesis.
+/// `synthesis` is not listed — it comes from its own stage, so no design
+/// bytes are stored twice.
+template <artifact::FieldsOf<DesignMeasurement> M>
+auto fields(M& m) {
+  return std::tie(m.clockPeriod, m.design, m.power, m.paths);
+}
 
 class TuningFlow {
  public:

@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "artifact/hash.hpp"
 #include "tuning/constraints_io.hpp"
@@ -11,23 +12,34 @@
 namespace sct::core {
 namespace {
 
-/// Full-precision round-trippable double rendering for the deterministic
-/// flow report (compared byte-for-byte between CLI and daemon runs).
-std::string fmt17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
+constexpr std::pair<std::string_view, tuning::TuningMethod> kMethodNames[] = {
+    {"strength-load", tuning::TuningMethod::kCellStrengthLoadSlope},
+    {"strength-slew", tuning::TuningMethod::kCellStrengthSlewSlope},
+    {"cell-load", tuning::TuningMethod::kCellLoadSlope},
+    {"cell-slew", tuning::TuningMethod::kCellSlewSlope},
+    {"sigma-ceiling", tuning::TuningMethod::kSigmaCeiling},
+};
 
 }  // namespace
 
 tuning::TuningMethod tuningMethodByName(const std::string& name) {
-  if (name == "strength-load") return tuning::TuningMethod::kCellStrengthLoadSlope;
-  if (name == "strength-slew") return tuning::TuningMethod::kCellStrengthSlewSlope;
-  if (name == "cell-load") return tuning::TuningMethod::kCellLoadSlope;
-  if (name == "cell-slew") return tuning::TuningMethod::kCellSlewSlope;
-  if (name == "sigma-ceiling") return tuning::TuningMethod::kSigmaCeiling;
+  for (const auto& [entryName, method] : kMethodNames) {
+    if (entryName == name) return method;
+  }
   throw std::runtime_error("unknown method '" + name + "'");
+}
+
+std::string_view tuningMethodName(tuning::TuningMethod method) {
+  for (const auto& [name, entryMethod] : kMethodNames) {
+    if (entryMethod == method) return name;
+  }
+  throw std::invalid_argument("tuning method out of range");
+}
+
+std::string fmt17(double v) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", v);
+  return buffer;
 }
 
 FlowConfig makeFlowConfig(const FlowJob& job) {

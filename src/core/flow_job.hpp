@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "artifact/fields.hpp"
 #include "core/flow.hpp"
 #include "tuning/methods.hpp"
 
@@ -25,13 +27,28 @@ struct FlowJob {
   std::string lintMode = "error";  ///< "error" | "warn" | "off"
 };
 
+/// Serialized order of a FlowJob (SCTP payloads, scenario cell keys). Not
+/// the declaration order: workload was appended to the wire last.
+template <artifact::FieldsOf<FlowJob> J>
+auto fields(J& j) {
+  return std::tie(j.profile, j.period, j.method, j.value, j.mcCount, j.mcSeed,
+                  j.lintMode, j.workload);
+}
+
 /// CLI method-name dictionary (strength-load, strength-slew, cell-load,
 /// cell-slew, sigma-ceiling); throws std::runtime_error on unknown names.
 [[nodiscard]] tuning::TuningMethod tuningMethodByName(const std::string& name);
+/// Inverse of tuningMethodByName.
+[[nodiscard]] std::string_view tuningMethodName(tuning::TuningMethod method);
+
+/// Full-precision round-trippable double rendering ("%.17g") used by every
+/// deterministic report, which are compared byte for byte between CLI,
+/// daemon, thread counts and cache temperatures.
+[[nodiscard]] std::string fmt17(double v);
 
 /// Flow configuration for a job: profile presets, MC count/seed, lint mode.
-/// Cache wiring (cacheDir / shared tiers / memCacheBytes) is left at the
-/// defaults for the caller to fill in — it never affects results.
+/// Cache wiring (cacheDir / shared tiers) is left at the defaults for the
+/// caller to fill in — it never affects results.
 [[nodiscard]] FlowConfig makeFlowConfig(const FlowJob& job);
 
 struct FlowJobResult {

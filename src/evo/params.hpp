@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <string>
 
+#include "artifact/fields.hpp"
+
 namespace sct::evo {
 
 /// Knobs of the NSGA-II window tuner (src/evo/tuner.hpp). Validated by the
@@ -20,5 +22,11 @@ struct EvolveParams {
   double geneMax = 0.06;   ///< sigma-threshold gene upper bound [ns]
   std::uint64_t seed = 2014;  ///< master stream for init + variation
 };
+
+template <artifact::FieldsOf<EvolveParams> P>
+auto fields(P& p) {
+  return std::tie(p.population, p.generations, p.objectives, p.geneMin,
+                  p.geneMax, p.seed);
+}
 
 }  // namespace sct::evo

@@ -23,30 +23,9 @@
 namespace sct::evo {
 namespace {
 
-constexpr std::uint32_t kEvolveSchema = 1;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Full-precision round-trippable double rendering; the evolve report is
-/// compared byte-for-byte between CLI, daemon, thread counts and cache
-/// temperatures.
-std::string fmt17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
-
-/// CLI method-name dictionary (matches core::tuningMethodByName), used in
-/// seed origins so a baseline line names the `sctune flow --method` spelling.
-std::string_view cliMethodName(tuning::TuningMethod method) noexcept {
-  switch (method) {
-    case tuning::TuningMethod::kCellStrengthLoadSlope: return "strength-load";
-    case tuning::TuningMethod::kCellStrengthSlewSlope: return "strength-slew";
-    case tuning::TuningMethod::kCellLoadSlope: return "cell-load";
-    case tuning::TuningMethod::kCellSlewSlope: return "cell-slew";
-    case tuning::TuningMethod::kSigmaCeiling: return "sigma-ceiling";
-  }
-  return "?";
-}
+using core::fmt17;
 
 constexpr const char* kObjectiveNames[] = {"sigma", "area", "power"};
 
@@ -79,44 +58,13 @@ std::vector<std::size_t> parseObjectives(const std::string& list) {
   return {enabled.begin(), enabled.end()};
 }
 
-/// Measured fitness of one genotype — the cached candidate-stage payload.
-struct CandidateFitness {
-  bool feasible = false;  ///< synthesis met timing and windows
-  double sigma = 0.0;     ///< worst endpoint path sigma [ns]
-  double area = 0.0;
-  double power = 0.0;
-};
-
-void encodeFitness(artifact::SctbWriter& writer,
-                   const CandidateFitness& fitness) {
-  writer.beginSection("evo-cand");
-  writer.u32(kEvolveSchema);
-  writer.boolean(fitness.feasible);
-  writer.f64(fitness.sigma);
-  writer.f64(fitness.area);
-  writer.f64(fitness.power);
-}
-
-CandidateFitness decodeFitness(const artifact::SctbReader& reader) {
-  artifact::SctbReader::Cursor cursor = reader.section("evo-cand");
-  if (cursor.u32() != kEvolveSchema) {
-    throw artifact::FormatError("evo-cand schema mismatch");
-  }
-  CandidateFitness fitness;
-  fitness.feasible = cursor.boolean();
-  fitness.sigma = cursor.f64();
-  fitness.area = cursor.f64();
-  fitness.power = cursor.f64();
-  return fitness;
-}
-
 /// Candidate cache key: measurement context (everything influencing a
 /// constraints -> synthesize -> measure run at this period) + the genes.
 artifact::Digest candidateKey(const artifact::Digest& context,
                               const std::vector<double>& genes) {
   artifact::Hasher hasher;
   hasher.str("evo-cand-v1");
-  hasher.u32(kEvolveSchema);
+  hasher.u32(CandidateFitness::kSchema);
   hasher.u64(context.hi).u64(context.lo);
   hasher.f64span(genes);
   return hasher.digest();
@@ -217,7 +165,8 @@ class Archive {
                 return computeFitness(flow_, period_, geneCells_,
                                       candidate.genes);
               },
-              encodeFitness, decodeFitness);
+              artifact::writeRecord<CandidateFitness>,
+              artifact::readRecord<CandidateFitness>);
         },
         1);
     for (std::size_t k = 0; k < fresh.size(); ++k) {
@@ -266,8 +215,8 @@ std::vector<Candidate> seedCandidates(
       const std::map<std::string, tuning::ClusterThreshold> thresholds =
           tuning::extractThresholds(library, config);
       Candidate seed;
-      seed.origin = "seed:" + std::string(cliMethodName(method)) + "@" +
-                    fmt17(value);
+      seed.origin = "seed:" + std::string(core::tuningMethodName(method)) +
+                    "@" + fmt17(value);
       seed.genes.reserve(geneCells.size());
       for (const std::string& cellName : geneCells) {
         const statlib::StatCell* cell = library.findCell(cellName);
@@ -460,14 +409,7 @@ EvolveRunResult runEvolveJob(core::TuningFlow& flow, const EvolveJob& job) {
   result.unique = archive.entries().size();
   for (const std::size_t id : frontIds) {
     const Evaluated& entry = archive.entries()[id];
-    FrontPoint point;
-    point.origin = entry.origin;
-    point.feasible = entry.fitness.feasible;
-    point.sigma = entry.fitness.sigma;
-    point.area = entry.fitness.area;
-    point.power = entry.fitness.power;
-    point.genes = entry.genes;
-    result.front.push_back(std::move(point));
+    result.front.push_back({entry.fitness, entry.origin, entry.genes});
     result.success = result.success || entry.fitness.feasible;
   }
 
@@ -476,12 +418,7 @@ EvolveRunResult runEvolveJob(core::TuningFlow& flow, const EvolveJob& job) {
   std::size_t dominatedCount = 0;
   for (const Candidate& seed : seeds) {
     const Evaluated& entry = archive.entries()[archive.idOf(seed.genes)];
-    BaselinePoint baseline;
-    baseline.origin = seed.origin;
-    baseline.feasible = entry.fitness.feasible;
-    baseline.sigma = entry.fitness.sigma;
-    baseline.area = entry.fitness.area;
-    baseline.power = entry.fitness.power;
+    BaselinePoint baseline{entry.fitness, seed.origin};
     for (const std::size_t id : frontIds) {
       const std::vector<double>& f = archive.entries()[id].objectives;
       bool covers = true;
@@ -536,7 +473,7 @@ EvolveRunResult runEvolveJob(core::TuningFlow& flow, const EvolveJob& job) {
 
   // --- deterministic JSON rendering ---------------------------------------
   std::ostringstream json;
-  json << "{\"version\":" << kEvolveSchema << ",\"workload\":\""
+  json << "{\"version\":" << CandidateFitness::kSchema << ",\"workload\":\""
        << job.flow.workload << "\",\"period\":" << fmt17(period)
        << ",\"population\":" << params.population
        << ",\"generations\":" << params.generations << ",\"objectives\":[";

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/fields.hpp"
 #include "core/flow.hpp"
 #include "core/flow_job.hpp"
 #include "evo/params.hpp"
@@ -30,23 +31,30 @@ struct EvolveJob {
   EvolveParams params;
 };
 
+/// Measured fitness of one genotype — the cached record of the
+/// "evo.stage.candidate" stage.
+struct CandidateFitness {
+  static constexpr const char* kSection = "evo-cand";
+  static constexpr std::uint32_t kSchema = 1;
+
+  bool feasible = false;  ///< synthesis met timing and windows
+  double sigma = 0.0;     ///< worst endpoint path sigma [ns]
+  double area = 0.0;      ///< mapped area [um^2]
+  double power = 0.0;     ///< mean dynamic power [uW]
+};
+
+template <artifact::FieldsOf<CandidateFitness> F>
+auto fields(F& f) { return std::tie(f.feasible, f.sigma, f.area, f.power); }
+
 /// One member of the reported Pareto front.
-struct FrontPoint {
+struct FrontPoint : CandidateFitness {
   std::string origin;  ///< "seed:<method>@<value>" | "init:<i>" | "gen<g>:<i>"
-  bool feasible = false;
-  double sigma = 0.0;  ///< worst endpoint path sigma [ns]
-  double area = 0.0;   ///< mapped area [um^2]
-  double power = 0.0;  ///< mean dynamic power [uW]
   std::vector<double> genes;
 };
 
 /// One of the 20 paper-method sweep points evaluated as a seed individual.
-struct BaselinePoint {
+struct BaselinePoint : CandidateFitness {
   std::string origin;  ///< "seed:<method>@<value>"
-  bool feasible = false;
-  double sigma = 0.0;
-  double area = 0.0;
-  double power = 0.0;
   /// Weakly dominated-or-matched by some front point over the enabled
   /// objectives — true for every baseline by construction (the seeds live in
   /// the archive the front is drawn from); asserted by the tests.

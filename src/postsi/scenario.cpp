@@ -17,15 +17,7 @@
 namespace sct::postsi {
 namespace {
 
-/// Full-precision round-trippable double rendering; the scenario report is
-/// compared byte-for-byte between CLI, daemon, and cache temperatures.
-std::string fmt17(double v) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", v);
-  return buffer;
-}
-
-constexpr std::uint32_t kScenarioSchema = 1;
+using core::fmt17;
 
 std::vector<std::string> parseScenarios(const std::string& list) {
   std::vector<std::string> out;
@@ -62,74 +54,24 @@ double mappedArea(const netlist::Design& design) {
 
 /// Version of the cell-key layout below; bumped when the key's inputs
 /// change, so entries stored under an older (looser) key are never served.
-constexpr std::uint32_t kCellKeyVersion = 2;
+constexpr std::uint32_t kCellKeyVersion = 3;
 
 /// Everything a cell depends on: the flow's measurement context at this
 /// period (subject and workload, library and MC configuration, clock, power
-/// model), the tuning method, the scenario and its post-silicon knobs.
+/// model), the whole flow job, the scenario and its post-silicon knobs.
 artifact::Digest cellKey(const core::TuningFlow& flow, const ScenarioJob& job,
                          const std::string& scenario, double period,
                          std::size_t trials) {
   const artifact::Digest context = flow.measurementContextDigest(period);
   artifact::Hasher hasher;
-  hasher.str("sct-scenario");
-  hasher.u32(kCellKeyVersion);
+  hasher.str("sct-scenario").u32(kCellKeyVersion);
   hasher.u64(context.hi).u64(context.lo);
-  hasher.str(job.flow.method);
-  hasher.f64(job.flow.value);
-  hasher.str(job.flow.lintMode);
+  artifact::FieldWriter<artifact::Hasher> visit{hasher};
+  artifact::forEachField(job.flow, visit);
   hasher.str(scenario);
-  hasher.f64(job.element.rangeMin);
-  hasher.f64(job.element.rangeMax);
-  hasher.f64(job.element.step);
-  hasher.f64(job.element.areaPerElement);
-  hasher.u64(trials);
-  hasher.u64(job.mcSeed);
+  artifact::forEachField(job.element, visit);
+  hasher.u64(trials).u64(job.mcSeed);
   return hasher.digest();
-}
-
-void encodeCell(artifact::SctbWriter& writer, const ScenarioCell& cell) {
-  writer.beginSection("scenario-cell");
-  writer.u32(kScenarioSchema);
-  writer.str(cell.scenario);
-  writer.f64(cell.period);
-  writer.boolean(cell.success);
-  writer.boolean(cell.met);
-  writer.f64(cell.wns);
-  writer.f64(cell.area);
-  writer.f64(cell.designSigma);
-  writer.f64(cell.worstPathSigma);
-  writer.f64(cell.powerMean);
-  writer.f64(cell.powerSigma);
-  writer.f64(cell.yield);
-  writer.u64(cell.buffers);
-  writer.u64(cell.elements);
-  writer.f64(cell.tuningArea);
-  writer.str(cell.flowReport);
-}
-
-ScenarioCell decodeCell(const artifact::SctbReader& reader) {
-  artifact::SctbReader::Cursor cursor = reader.section("scenario-cell");
-  if (cursor.u32() != kScenarioSchema) {
-    throw artifact::FormatError("scenario-cell schema mismatch");
-  }
-  ScenarioCell cell;
-  cell.scenario = cursor.str();
-  cell.period = cursor.f64();
-  cell.success = cursor.boolean();
-  cell.met = cursor.boolean();
-  cell.wns = cursor.f64();
-  cell.area = cursor.f64();
-  cell.designSigma = cursor.f64();
-  cell.worstPathSigma = cursor.f64();
-  cell.powerMean = cursor.f64();
-  cell.powerSigma = cursor.f64();
-  cell.yield = cursor.f64();
-  cell.buffers = cursor.u64();
-  cell.elements = cursor.u64();
-  cell.tuningArea = cursor.f64();
-  cell.flowReport = cursor.str();
-  return cell;
 }
 
 ScenarioCell computeCell(core::TuningFlow& flow, const ScenarioJob& job,
@@ -260,7 +202,8 @@ ScenarioRunResult runScenarioJob(core::TuningFlow& flow,
           flow.cache(), flow.memCache(), stageNameFor(scenario),
           cellKey(flow, job, scenario, period, trials),
           [&] { return computeCell(flow, job, scenario, period, trials); },
-          encodeCell, decodeCell);
+          artifact::writeRecord<ScenarioCell>,
+          artifact::readRecord<ScenarioCell>);
       result.success = result.success && cell.success;
       result.cells.push_back(std::move(cell));
     }
@@ -286,7 +229,7 @@ ScenarioRunResult runScenarioJob(core::TuningFlow& flow,
 
   // --- deterministic JSON rendering --------------------------------------
   std::ostringstream json;
-  json << "{\"version\":" << kScenarioSchema << ",\"trials\":" << trials
+  json << "{\"version\":" << ScenarioCell::kSchema << ",\"trials\":" << trials
        << ",\"cells\":[";
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
     const ScenarioCell& cell = result.cells[i];

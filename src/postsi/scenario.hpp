@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "artifact/fields.hpp"
 #include "clocktree/clock_tree.hpp"
 #include "core/flow.hpp"
 #include "core/flow_job.hpp"
@@ -39,8 +40,12 @@ struct ScenarioJob {
 /// minimum). Shared by the CLI and tests so both derive identical jobs.
 [[nodiscard]] std::vector<double> paperPeriods(double base);
 
-/// One (scenario, period) cell of the matrix.
+/// One (scenario, period) cell of the matrix — the cached record of the
+/// "scenario.stage.<name>" stages.
 struct ScenarioCell {
+  static constexpr const char* kSection = "scenario-cell";
+  static constexpr std::uint32_t kSchema = 1;
+
   std::string scenario;
   double period = 0.0;
   bool success = false;  ///< synthesis success at this period
@@ -59,6 +64,13 @@ struct ScenarioCell {
   /// flow job — byte-identical to `sctune flow --report` at this period.
   std::string flowReport;
 };
+
+template <artifact::FieldsOf<ScenarioCell> C>
+auto fields(C& c) {
+  return std::tie(c.scenario, c.period, c.success, c.met, c.wns, c.area,
+                  c.designSigma, c.worstPathSigma, c.powerMean, c.powerSigma,
+                  c.yield, c.buffers, c.elements, c.tuningArea, c.flowReport);
+}
 
 struct ScenarioRunResult {
   bool success = false;  ///< every cell synthesized successfully

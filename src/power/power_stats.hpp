@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 
+#include "artifact/fields.hpp"
 #include "charlib/characterizer.hpp"
 #include "power/power_model.hpp"
 #include "sta/sta.hpp"
@@ -37,6 +38,9 @@ struct DesignPower {
                             ///< local mismatch)
   std::size_t cells = 0;
 };
+
+template <artifact::FieldsOf<DesignPower> P>
+auto fields(P& p) { return std::tie(p.meanPower, p.sigmaPower, p.cells); }
 
 [[nodiscard]] DesignPower analyzeDesignPower(
     const netlist::Design& design, const sta::TimingAnalyzer& sta,

@@ -43,20 +43,12 @@ SctbReader readerFor(std::span<const std::byte> bytes, const char* section) {
 }  // namespace detail
 
 bool isRequestType(std::uint32_t raw) noexcept {
-  switch (static_cast<MessageType>(raw)) {
-    case MessageType::kFlowRequest:
-    case MessageType::kLintRequest:
-    case MessageType::kStaRequest:
-    case MessageType::kHealthRequest:
-    case MessageType::kPingRequest:
-    case MessageType::kShutdownRequest:
-    case MessageType::kScenarioRequest:
-    case MessageType::kEvolveRequest:
-      return true;
-    case MessageType::kResponse:
-    default:
-      return false;
-  }
+  const auto type = static_cast<MessageType>(raw);
+  return type == MessageType::kHealthRequest ||
+         type == MessageType::kShutdownRequest ||
+         anyRequestKind([type]<class R>(std::type_identity<R>) {
+           return type == R::kType;
+         });
 }
 
 void encodeResponse(SctbWriter& writer, const Response& r) {

@@ -22,7 +22,6 @@
 // evolve response body is byte-identical to the CLI's --report file for the
 // same request (both run through server::runJob, src/server/jobs.hpp).
 
-#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -33,6 +32,7 @@
 #include <vector>
 
 #include "artifact/binary_format.hpp"
+#include "artifact/fields.hpp"
 #include "artifact/hash.hpp"
 #include "clocktree/clock_tree.hpp"
 #include "core/flow_job.hpp"
@@ -79,39 +79,19 @@ class ProtocolError : public std::runtime_error {
 // ---- requests ------------------------------------------------------------
 //
 // Each request struct is the single definition of its kind: static traits
-// (message type, SCTB section name, trace span) and the fields() list below
-// it, in wire order. The list drives the codec (which appends deadlineMillis)
-// and the response-cache key (which leaves it out). A new kind is one struct
-// with its fields(), one TuningService::compute overload, one dispatch case.
+// (message type, client op name, SCTB section name, trace span) and the
+// fields() list below it, in wire order. The list drives the codec (which
+// appends deadlineMillis) and the response-cache key (which leaves it out).
+// A new kind is one struct with its fields(), an entry in RequestKinds, one
+// TuningService::compute overload and one CLI parseArgs overload.
 
-/// `T` is `U` or `const U`: one fields() overload serves the encoder (const)
-/// and the decoder (mutable).
-template <class T, class U>
-concept FieldsOf = std::same_as<std::remove_const_t<T>, U>;
-
-/// Wire order of the flow-job fields shared by flow, scenario and evolve
-/// (not the declaration order: workload was appended to the wire last).
-template <FieldsOf<core::FlowJob> J>
-auto fields(J& j) {
-  return std::tie(j.profile, j.period, j.method, j.value, j.mcCount, j.mcSeed,
-                  j.lintMode, j.workload);
-}
-
-template <FieldsOf<evo::EvolveParams> P>
-auto fields(P& p) {
-  return std::tie(p.population, p.generations, p.objectives, p.geneMin,
-                  p.geneMax, p.seed);
-}
-
-template <FieldsOf<clocktree::TuningElementSpec> E>
-auto fields(E& e) {
-  return std::tie(e.rangeMin, e.rangeMax, e.step, e.areaPerElement);
-}
+using artifact::FieldsOf;
 
 /// Runs the full tuning flow (characterize → stat → tune → synth → measure)
 /// and returns the deterministic "flow-report v1" text as the body.
 struct FlowRequest {
   static constexpr MessageType kType = MessageType::kFlowRequest;
+  static constexpr const char* kName = "flow";  ///< `sctune client` op
   static constexpr const char* kSection = "flow-req";
   static constexpr const char* kSpan = "server.flow";
   core::FlowJob job;
@@ -125,6 +105,7 @@ auto fields(R& r) { return std::tie(r.job); }
 /// JSON) lint report.
 struct LintRequest {
   static constexpr MessageType kType = MessageType::kLintRequest;
+  static constexpr const char* kName = "lint";
   static constexpr const char* kSection = "lint-req";
   static constexpr const char* kSpan = "server.lint";
   std::string artifactType;  ///< lib | stat | netlist | constraints
@@ -140,6 +121,7 @@ auto fields(R& r) { return std::tie(r.artifactType, r.content, r.json); }
 /// report (sta::writeTimingReport).
 struct StaRequest {
   static constexpr MessageType kType = MessageType::kStaRequest;
+  static constexpr const char* kName = "sta";
   static constexpr const char* kSection = "sta-req";
   static constexpr const char* kSpan = "server.sta";
   std::string libraryText;
@@ -156,6 +138,7 @@ auto fields(R& r) { return std::tie(r.libraryText, r.netlistText, r.period); }
 /// `json` is set — both byte-identical to the CLI's output for the same job.
 struct ScenarioRequest {
   static constexpr MessageType kType = MessageType::kScenarioRequest;
+  static constexpr const char* kName = "scenario";
   static constexpr const char* kSection = "scenario-req";
   static constexpr const char* kSpan = "server.scenario";
   core::FlowJob job;            ///< flow part (period field unused)
@@ -180,6 +163,7 @@ auto fields(R& r) {
 /// job.
 struct EvolveRequest {
   static constexpr MessageType kType = MessageType::kEvolveRequest;
+  static constexpr const char* kName = "evolve";
   static constexpr const char* kSection = "evolve-req";
   static constexpr const char* kSpan = "server.evolve";
   core::FlowJob job;  ///< profile/workload/period/mc/lint (method unused)
@@ -196,6 +180,7 @@ auto fields(R& r) { return std::tie(r.job, r.params, r.json); }
 /// served from the response cache: every ping sleeps.
 struct PingRequest {
   static constexpr MessageType kType = MessageType::kPingRequest;
+  static constexpr const char* kName = "ping";
   static constexpr const char* kSection = "ping-req";
   static constexpr const char* kSpan = "server.ping";
   std::string echo;
@@ -208,18 +193,18 @@ auto fields(R& r) { return std::tie(r.echo, r.sleepMillis); }
 
 // kHealthRequest and kShutdownRequest carry empty payloads.
 
-/// Calls visit(scalar) for every scalar of `value` in wire order, recursing
-/// through nested fields() lists. The visitors accept exactly the wire
-/// scalars: std::string, double, bool, unsigned integers (u64 on the wire)
-/// and std::vector<double> (a u64 count, then the values).
-template <class T, class Visit>
-void forEachField(T& value, Visit& visit) {
-  if constexpr (requires { fields(value); }) {
-    std::apply([&](auto&... member) { (forEachField(member, visit), ...); },
-               fields(value));
-  } else {
-    visit(value);
-  }
+/// Every request kind with a payload: the daemon's dispatch, isRequestType
+/// and the `sctune client` ops fold over this one list.
+using RequestKinds = std::tuple<FlowRequest, ScenarioRequest, EvolveRequest,
+                                LintRequest, StaRequest, PingRequest>;
+
+/// Calls fn(std::type_identity<R>{}) for each R in RequestKinds, in order,
+/// until one call returns true; returns whether one did.
+template <class Fn>
+bool anyRequestKind(Fn&& fn) {
+  return []<class... R>(Fn& f, std::type_identity<std::tuple<R...>>) {
+    return (f(std::type_identity<R>{}) || ...);
+  }(fn, std::type_identity<RequestKinds>{});
 }
 
 struct Response {
@@ -235,41 +220,6 @@ inline constexpr std::uint64_t kMaxListLength = 64;
 
 namespace detail {
 
-/// Feeds every scalar of a field list to an SctbWriter or a Hasher (the two
-/// share the str/f64/u8/u64 feeder names).
-template <class Sink>
-struct FieldWriter {
-  Sink& sink;
-  void operator()(const std::string& v) { sink.str(v); }
-  void operator()(double v) { sink.f64(v); }
-  void operator()(bool v) { sink.u8(v ? 1 : 0); }
-  template <std::unsigned_integral U>
-  void operator()(U v) {
-    sink.u64(v);
-  }
-  void operator()(const std::vector<double>& v) {
-    sink.u64(v.size());
-    for (const double x : v) sink.f64(x);
-  }
-};
-
-struct FieldReader {
-  artifact::SctbReader::Cursor& cursor;
-  void operator()(std::string& v) { v = cursor.str(); }
-  void operator()(double& v) { v = cursor.f64(); }
-  void operator()(bool& v) { v = cursor.boolean(); }
-  template <std::unsigned_integral U>
-  void operator()(U& v) {
-    v = static_cast<U>(cursor.u64());
-  }
-  void operator()(std::vector<double>& v) {
-    const std::uint64_t count = cursor.u64();
-    if (count > kMaxListLength) throw ProtocolError("unreasonable list length");
-    v.resize(static_cast<std::size_t>(count));
-    for (double& x : v) x = cursor.f64();
-  }
-};
-
 /// Validated container holding `section`; throws ProtocolError otherwise.
 [[nodiscard]] artifact::SctbReader readerFor(std::span<const std::byte> bytes,
                                              const char* section);
@@ -282,8 +232,8 @@ template <class R>
 [[nodiscard]] std::vector<std::byte> encodeRequest(const R& r) {
   artifact::SctbWriter writer;
   writer.beginSection(R::kSection);
-  detail::FieldWriter<artifact::SctbWriter> visit{writer};
-  forEachField(r, visit);
+  artifact::FieldWriter<artifact::SctbWriter> visit{writer};
+  artifact::forEachField(r, visit);
   writer.u64(r.deadlineMillis);
   return writer.finish();
 }
@@ -297,8 +247,8 @@ template <class R>
   auto cursor = reader.section(R::kSection);
   R r;
   try {
-    detail::FieldReader visit{cursor};
-    forEachField(r, visit);
+    artifact::FieldReader visit{cursor, kMaxListLength};
+    artifact::forEachField(r, visit);
     r.deadlineMillis = cursor.u64();
   } catch (const artifact::FormatError& e) {
     throw ProtocolError(e.what());
@@ -314,8 +264,8 @@ template <class R>
 [[nodiscard]] artifact::Digest requestKey(const R& r) {
   artifact::Hasher h;
   h.str(R::kSection);
-  detail::FieldWriter<artifact::Hasher> visit{h};
-  forEachField(r, visit);
+  artifact::FieldWriter<artifact::Hasher> visit{h};
+  artifact::forEachField(r, visit);
   return h.digest();
 }
 

@@ -117,40 +117,18 @@ Response TuningService::handle(MessageType type,
   ServiceMetrics::get().requests.inc();
   Response response;
   try {
-    switch (type) {
-      case MessageType::kFlowRequest:
-        response = serve<FlowRequest>(payload, received);
-        break;
-      case MessageType::kScenarioRequest:
-        response = serve<ScenarioRequest>(payload, received);
-        break;
-      case MessageType::kEvolveRequest:
-        response = serve<EvolveRequest>(payload, received);
-        break;
-      case MessageType::kLintRequest:
-        response = serve<LintRequest>(payload, received);
-        break;
-      case MessageType::kStaRequest:
-        response = serve<StaRequest>(payload, received);
-        break;
-      case MessageType::kPingRequest:
-        response = serve<PingRequest>(payload, received);
-        break;
-      case MessageType::kHealthRequest:
-        response.status = Status::kOk;
-        response.summary = "ok";
-        response.body = healthJson();
-        break;
-      case MessageType::kShutdownRequest:
-        // The server layer watches for this type and begins draining; the
-        // service only acknowledges.
-        response.status = Status::kOk;
-        response.summary = "shutting down";
-        break;
-      case MessageType::kResponse:
-      default:
-        response = errorResponse("not a request type");
-        break;
+    if (type == MessageType::kHealthRequest) {
+      response = {Status::kOk, "ok", healthJson()};
+    } else if (type == MessageType::kShutdownRequest) {
+      // The server layer watches for this type and begins draining; the
+      // service only acknowledges.
+      response = {Status::kOk, "shutting down", {}};
+    } else if (!anyRequestKind([&]<class R>(std::type_identity<R>) {
+                 if (type != R::kType) return false;
+                 response = serve<R>(payload, received);
+                 return true;
+               })) {
+      response = errorResponse("not a request type");
     }
   } catch (const std::exception& e) {
     response = errorResponse(e.what());

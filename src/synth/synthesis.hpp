@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 
+#include "artifact/fields.hpp"
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/sta.hpp"
@@ -40,11 +41,23 @@ struct SynthesisResult {
   std::size_t resizes = 0;
   std::size_t violations = 0;  ///< residual violation count
 
+  /// Artifact section of the scalar head below; the design is stored in
+  /// its own sections (artifact::encodeSynthesisResult).
+  static constexpr const char* kSection = "synth.meta";
+
   [[nodiscard]] bool success() const noexcept { return timingMet && legal; }
   [[nodiscard]] std::map<std::string, std::size_t> cellUsage() const {
     return design.cellUsage();
   }
 };
+
+/// Every member but the design.
+template <artifact::FieldsOf<SynthesisResult> R>
+auto fields(R& r) {
+  return std::tie(r.timingMet, r.legal, r.worstSlack, r.tns, r.area, r.passes,
+                  r.buffersInserted, r.decomposed, r.patternRewrites,
+                  r.resizes, r.violations);
+}
 
 /// Rebinds every mapped instance to the same-named cell of another library
 /// (e.g. the SS corner library for signoff of a TT-synthesized design).

@@ -8,6 +8,7 @@
 #include <span>
 #include <vector>
 
+#include "artifact/fields.hpp"
 #include "sta/sta.hpp"
 #include "statlib/stat_library.hpp"
 
@@ -26,6 +27,9 @@ struct DesignStats {
   double sigma = 0.0;
   std::size_t paths = 0;
 };
+
+template <artifact::FieldsOf<DesignStats> S>
+auto fields(S& s) { return std::tie(s.mean, s.sigma, s.paths); }
 
 class PathStatistics {
  public:

@@ -10,16 +10,21 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "artifact/binary_format.hpp"
 #include "artifact/codecs.hpp"
+#include "artifact/fields.hpp"
 #include "artifact/hash.hpp"
 #include "artifact/store.hpp"
 #include "charlib/characterizer.hpp"
+#include "core/flow_job.hpp"
+#include "evo/tuner.hpp"
 #include "liberty/liberty_io.hpp"
 #include "netlist/mcu.hpp"
 #include "netlist/verilog_io.hpp"
+#include "postsi/scenario.hpp"
 #include "statlib/stat_io.hpp"
 #include "synth/synthesis.hpp"
 #include "tuning/constraints_io.hpp"
@@ -298,14 +303,9 @@ TEST(Codecs, SynthesisResultRoundTripsAgainstLibrary) {
   const synth::SynthesisResult back =
       artifact::decodeSynthesisResult(SctbReader::fromBytes(bytes), &library);
 
-  EXPECT_EQ(back.timingMet, result.timingMet);
-  EXPECT_EQ(back.legal, result.legal);
-  EXPECT_EQ(back.worstSlack, result.worstSlack);
-  EXPECT_EQ(back.tns, result.tns);
-  EXPECT_EQ(back.area, result.area);
-  EXPECT_EQ(back.passes, result.passes);
-  EXPECT_EQ(back.buffersInserted, result.buffersInserted);
-  EXPECT_EQ(back.resizes, result.resizes);
+  SctbWriter again;
+  artifact::encodeSynthesisResult(again, back);
+  EXPECT_EQ(again.finish(), bytes);
   EXPECT_EQ(back.design.validate(), "");
   EXPECT_EQ(netlist::writeVerilogToString(back.design),
             netlist::writeVerilogToString(result.design));
@@ -321,6 +321,95 @@ TEST(Codecs, SynthesisResultRoundTripsAgainstLibrary) {
       (void)artifact::decodeSynthesisResult(SctbReader::fromBytes(bytes),
                                             nullptr),
       FormatError);
+}
+
+/// Digest of every artifact under `root` holding `section`: the file
+/// digests, sorted, fed through one hasher, prefixed with the file count.
+std::string sectionDigest(const fs::path& root, const char* section) {
+  std::vector<std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".sctb") {
+      continue;
+    }
+    const SctbReader reader = SctbReader::fromFile(entry.path().string());
+    if (!reader.hasSection(section)) continue;
+    Hasher h;
+    h.bytes(reader.rawBytes());
+    files.push_back(h.digest().hex());
+  }
+  std::sort(files.begin(), files.end());
+  Hasher all;
+  for (const std::string& file : files) all.str(file);
+  return std::to_string(files.size()) + ":" + all.digest().hex();
+}
+
+// Golden digests of the measure, synthesis-result, scenario-cell and
+// evo-fitness artifacts a small scenario + evolve run publishes, recorded
+// from the hand-written per-record codecs the field-list codec replaced. A
+// change here is an artifact-format change (it needs a schema bump, not a
+// new golden value) or a change to the numbers the flow computes.
+TEST(Codecs, StageArtifactBytesArePinned) {
+  const TempDir dir("sct_codec_pins");
+  const core::FlowJob job{.profile = "small", .period = 8.0, .mcCount = 6};
+  core::FlowConfig config = core::makeFlowConfig(job);
+  config.cacheDir = dir.path.string();
+  core::TuningFlow flow(config);
+  (void)postsi::runScenarioJob(
+      flow, {.flow = job, .periods = {8.0}, .scenarios = "clock",
+             .mcTrials = 16});
+  (void)evo::runEvolveJob(
+      flow, {.flow = job, .params = {.population = 2, .generations = 1}});
+
+  EXPECT_EQ(sectionDigest(dir.path, "measure"),
+            "1:9446062b24cd66b404a693260d52f2bf");
+  EXPECT_EQ(sectionDigest(dir.path, "synth.meta"),
+            "1:d66281cb139180e5ce94487fe03839da");
+  EXPECT_EQ(sectionDigest(dir.path, "scenario-cell"),
+            "1:3de2f0d47544ec14f7b4fde185497e3a");
+  EXPECT_EQ(sectionDigest(dir.path, "evo-cand"),
+            "19:31180095a5f7a24d247001c03ddec556");
+}
+
+/// A stage record round-trips, and its hostile variants — the encoding cut
+/// in half, a trailing u64, the schema word off by one — throw FormatError.
+template <class T>
+void expectHostileRecordsRejected(const T& record) {
+  const auto encode = [&](std::uint32_t schema, bool trailing) {
+    SctbWriter writer;
+    writer.beginSection(T::kSection);
+    writer.u32(schema);
+    artifact::FieldWriter<SctbWriter> put{writer};
+    artifact::forEachField(record, put);
+    if (trailing) writer.u64(0);
+    return writer.finish();
+  };
+  const std::vector<std::byte> bytes = encode(T::kSchema, false);
+  SctbWriter again;
+  artifact::writeRecord(again,
+                        artifact::readRecord<T>(SctbReader::fromBytes(bytes)));
+  EXPECT_EQ(again.finish(), bytes);
+
+  const std::vector<std::byte> cut(bytes.begin(),
+                                   bytes.begin() + bytes.size() / 2);
+  for (const auto& hostile :
+       {cut, encode(T::kSchema, true), encode(T::kSchema + 1, false)}) {
+    EXPECT_THROW(
+        (void)artifact::readRecord<T>(SctbReader::fromBytes(hostile)),
+        FormatError);
+  }
+}
+
+TEST(Codecs, HostileCellAndFitnessArtifactsThrow) {
+  postsi::ScenarioCell cell;
+  cell.scenario = "clock";
+  cell.period = 2.5;
+  cell.success = true;
+  cell.wns = -0.125;
+  cell.yield = 0.75;
+  cell.elements = 3;
+  cell.flowReport = "flow-report v1\n";
+  expectHostileRecordsRejected(cell);
+  expectHostileRecordsRejected(evo::CandidateFitness{true, 0.02, 987.0, 4.5});
 }
 
 // ---------------------------------------------------------------- store ----

@@ -10,6 +10,7 @@
 
 #include "core/env.hpp"
 #include "core/flow.hpp"
+#include "core/flow_job.hpp"
 
 namespace sct::core {
 namespace {
@@ -166,6 +167,14 @@ TEST_F(FlowTest, MeasurementIsDeterministic) {
 }
 
 // ---- shared environment parsing (env.hpp) --------------------------------
+
+TEST(FlowJob, MethodNamesRoundTrip) {
+  for (const char* name : {"strength-load", "strength-slew", "cell-load",
+                           "cell-slew", "sigma-ceiling"}) {
+    EXPECT_EQ(tuningMethodName(tuningMethodByName(name)), name);
+  }
+  EXPECT_THROW((void)tuningMethodByName("sigma"), std::runtime_error);
+}
 
 TEST(EnvParse, ParseSizeAcceptsPlainDecimal) {
   EXPECT_EQ(env::parseSize("test", "0", 9), 0u);

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "artifact/binary_format.hpp"
+#include "artifact/codecs.hpp"
+#include "artifact/fields.hpp"
 #include "core/flow.hpp"
 #include "liberty/liberty_io.hpp"
 #include "obs/metrics.hpp"
@@ -44,33 +46,19 @@ FlowConfig smallConfig(const fs::path& cacheDir) {
   return config;
 }
 
+/// Every byte the flow caches of a measurement: the measure record, then
+/// the synthesis result (scalar head and design).
+std::vector<std::byte> encoded(const DesignMeasurement& m) {
+  artifact::SctbWriter writer;
+  artifact::writeRecord(writer, m);
+  artifact::encodeSynthesisResult(writer, m.synthesis);
+  return writer.finish();
+}
+
+// The cache contract is bit-identity, not tolerance-level agreement.
 void expectBitIdentical(const DesignMeasurement& warm,
                         const DesignMeasurement& cold) {
-  // Exact comparisons throughout: the cache contract is bit-identity, not
-  // tolerance-level agreement.
-  EXPECT_EQ(warm.synthesis.timingMet, cold.synthesis.timingMet);
-  EXPECT_EQ(warm.synthesis.legal, cold.synthesis.legal);
-  EXPECT_EQ(warm.synthesis.worstSlack, cold.synthesis.worstSlack);
-  EXPECT_EQ(warm.synthesis.tns, cold.synthesis.tns);
-  EXPECT_EQ(warm.synthesis.area, cold.synthesis.area);
-  EXPECT_EQ(warm.synthesis.design.gateCount(),
-            cold.synthesis.design.gateCount());
-  EXPECT_EQ(warm.clockPeriod, cold.clockPeriod);
-  EXPECT_EQ(warm.design.mean, cold.design.mean);
-  EXPECT_EQ(warm.design.sigma, cold.design.sigma);
-  EXPECT_EQ(warm.design.paths, cold.design.paths);
-  EXPECT_EQ(warm.power.meanPower, cold.power.meanPower);
-  EXPECT_EQ(warm.power.sigmaPower, cold.power.sigmaPower);
-  EXPECT_EQ(warm.power.cells, cold.power.cells);
-  ASSERT_EQ(warm.paths.size(), cold.paths.size());
-  for (std::size_t i = 0; i < warm.paths.size(); ++i) {
-    EXPECT_EQ(warm.paths[i].endpoint, cold.paths[i].endpoint);
-    EXPECT_EQ(warm.paths[i].depth, cold.paths[i].depth);
-    EXPECT_EQ(warm.paths[i].mean, cold.paths[i].mean);
-    EXPECT_EQ(warm.paths[i].sigma, cold.paths[i].sigma);
-    EXPECT_EQ(warm.paths[i].arrival, cold.paths[i].arrival);
-    EXPECT_EQ(warm.paths[i].slack, cold.paths[i].slack);
-  }
+  EXPECT_EQ(encoded(warm), encoded(cold));
 }
 
 /// Stage-counter deltas of one call, read from the global metrics registry.
@@ -257,37 +245,24 @@ TEST(FlowCache, HostileMeasureArtifactRecomputes) {
   // but carries only the first `written`, plus optional trailing bytes.
   const auto hostile = [&](std::uint64_t count, std::size_t written,
                            bool trailing) {
-    // Written field for field (the encodeMeasurement layout) so the
-    // declared count can lie while the container checksums stay valid.
+    // The record's list spelled out so the declared count can lie while
+    // the container checksums stay valid.
     artifact::SctbWriter writer;
-    writer.beginSection("measure");
-    writer.f64(coldRun.clockPeriod);
-    writer.f64(coldRun.design.mean);
-    writer.f64(coldRun.design.sigma);
-    writer.u64(coldRun.design.paths);
-    writer.f64(coldRun.power.meanPower);
-    writer.f64(coldRun.power.sigmaPower);
-    writer.u64(coldRun.power.cells);
+    writer.beginSection(DesignMeasurement::kSection);
+    artifact::FieldWriter<artifact::SctbWriter> put{writer};
+    put(coldRun.clockPeriod);
+    artifact::forEachField(coldRun.design, put);
+    artifact::forEachField(coldRun.power, put);
     writer.u64(count);
     for (std::size_t i = 0; i < written; ++i) {
-      const PathRecord& p = coldRun.paths[i];
-      writer.u64(p.depth);
-      writer.f64(p.mean);
-      writer.f64(p.sigma);
-      writer.f64(p.arrival);
-      writer.f64(p.slack);
-      writer.str(p.endpoint);
+      artifact::forEachField(coldRun.paths[i], put);
     }
     if (trailing) writer.u64(0);
     return writer.finish();
   };
-  std::vector<std::byte> cut;
-  {
-    artifact::SctbWriter writer;
-    encodeMeasurement(writer, coldRun);
-    cut = writer.finish();
-    cut.resize(cut.size() / 2);
-  }
+  std::vector<std::byte> cut =
+      hostile(coldRun.paths.size(), coldRun.paths.size(), false);
+  cut.resize(cut.size() / 2);
   const std::vector<std::pair<const char*, std::vector<std::byte>>> cases = {
       {"file cut in half", cut},
       {"section truncated",

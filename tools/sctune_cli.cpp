@@ -454,14 +454,6 @@ core::FlowConfig makeFlowConfigFor(const core::FlowJob& job,
       config.cacheDir = *env;
     }
   }
-  // The in-memory tier in front of the store (--mem-cache-mb bounds it,
-  // --no-mem-cache disables it; it never changes results).
-  if (args.has("no-mem-cache")) {
-    config.memCacheBytes = 0;
-  } else {
-    config.memCacheBytes =
-        args.getUint("mem-cache-mb", 64, env::kMaxMebibytes) << 20;
-  }
   return config;
 }
 
@@ -691,16 +683,16 @@ int sendRequest(server::Client& client, const Args& args) {
 
 int cmdClient(const std::string& op, const Args& args) {
   server::Client client = connectClient(args);
-  if (op == "flow") return sendRequest<server::FlowRequest>(client, args);
-  if (op == "scenario") {
-    return sendRequest<server::ScenarioRequest>(client, args);
-  }
-  if (op == "evolve") return sendRequest<server::EvolveRequest>(client, args);
-  if (op == "lint") return sendRequest<server::LintRequest>(client, args);
-  if (op == "sta") return sendRequest<server::StaRequest>(client, args);
-  if (op == "ping") return sendRequest<server::PingRequest>(client, args);
   if (op == "health") return finishClientCall(client.health(), args);
   if (op == "shutdown") return finishClientCall(client.shutdown(), args);
+  int code = 1;
+  if (server::anyRequestKind([&]<class R>(std::type_identity<R>) {
+        if (op != R::kName) return false;
+        code = sendRequest<R>(client, args);
+        return true;
+      })) {
+    return code;
+  }
   throw std::runtime_error("unknown client op '" + op + "' (" + kClientOps +
                            ")");
 }
@@ -728,7 +720,6 @@ int usage() {
       "                [--workload mcu|dsp|noc|big]\n"
       "                [--profile small|full] [--mc N --seed S]\n"
       "                [--cache-dir DIR | --no-cache] [--cache-stats]\n"
-      "                [--no-mem-cache | --mem-cache-mb N]\n"
       "                [--lint-mode error|warn|off] [--report report.txt]\n"
       "  scenario      --period <ns> | --periods a,b,c — post-silicon\n"
       "                scenario matrix (tuning/clock/buffers) at each period;\n"
@@ -801,10 +792,10 @@ int main(int argc, char** argv) {
   try {
     std::vector<std::string> booleans;
     if (command == "flow") {
-      booleans = {"no-cache", "no-mem-cache", "cache-stats", "obs-off"};
+      booleans = {"no-cache", "cache-stats", "obs-off"};
     }
     if (command == "scenario" || command == "evolve") {
-      booleans = {"no-cache", "no-mem-cache", "json", "obs-off"};
+      booleans = {"no-cache", "json", "obs-off"};
     }
     if (command == "synth") booleans = {"obs-off"};
     if (command == "lint") booleans = {"json", "sarif", "obs-off"};
