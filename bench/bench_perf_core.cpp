@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel.hpp"
+#include "power/power_stats.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/mcu.hpp"
 #include "numeric/interp.hpp"
@@ -335,6 +336,34 @@ void BM_MonteCarloPath(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 200);
 }
 BENCHMARK(BM_MonteCarloPath) SCT_THREAD_ARGS;
+
+// The measure stage's power Monte Carlo (50 mismatch draws per instance)
+// on the mapped full-profile MCU, at the flow's default power knobs.
+void BM_DesignPower(benchmark::State& state) {
+  static const charlib::Characterizer chr;
+  static const liberty::Library lib =
+      chr.characterizeNominal(charlib::ProcessCorner::typical());
+  sta::ClockSpec clock;
+  clock.period = 7.766;  // the paper's medium period on the full MCU
+  static const synth::SynthesisResult result = [&] {
+    synth::Synthesizer synth(lib);
+    return synth.run(netlist::generateMcu(), clock);
+  }();
+  sta::TimingAnalyzer analyzer(result.design, lib, clock);
+  analyzer.analyze();
+  const power::PowerModel model(chr.model());
+  parallel::setThreadCount(static_cast<std::size_t>(state.range(0)));
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    const power::DesignPower power = power::analyzeDesignPower(
+        result.design, analyzer, chr, model, 0.1, 50, 7);
+    cells = power.cells;
+    benchmark::DoNotOptimize(power);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(cells));
+}
+BENCHMARK(BM_DesignPower) SCT_THREAD_ARGS->Unit(benchmark::kMillisecond);
 
 void BM_Ssta(benchmark::State& state) {
   static const charlib::Characterizer chr(smallCharConfig());

@@ -449,26 +449,39 @@ DesignMeasurement TuningFlow::measureFields(
   sta::ClockSpec clock = config_.clock;
   clock.period = period;
   sta::TimingAnalyzer analyzer(result.design, nominalLibrary(), clock);
-  if (!analyzer.analyze()) return out;
+  {
+    const StagePhase phase("flow.measure.sta");
+    if (!analyzer.analyze()) return out;
+  }
 
-  const std::vector<sta::TimingPath> paths = analyzer.endpointWorstPaths();
+  std::vector<sta::TimingPath> paths;
+  {
+    const StagePhase phase("flow.measure.paths");
+    paths = analyzer.endpointWorstPaths();
+  }
   const variation::PathStatistics stats(statLibrary(), config_.rho);
-  out.design = stats.designStats(paths);
-  out.paths.reserve(paths.size());
-  for (const sta::TimingPath& path : paths) {
-    const variation::PathStats ps = stats.pathStats(path);
-    PathRecord record;
-    record.depth = ps.depth;
-    record.mean = ps.mean;
-    record.sigma = ps.sigma;
-    record.arrival = path.endpoint.arrival;
-    record.slack = path.endpoint.slack;
-    record.endpoint = analyzer.endpointName(path.endpoint);
-    out.paths.push_back(std::move(record));
+  {
+    // One pathStats per path, on the pool; the eq. (11) fold and the
+    // records read the same vector in path order.
+    const StagePhase phase("flow.measure.path_stats");
+    const std::vector<variation::PathStats> pathStats = stats.pathStats(paths);
+    out.design = variation::PathStatistics::designStats(pathStats);
+    out.paths.reserve(paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      PathRecord record;
+      record.depth = pathStats[i].depth;
+      record.mean = pathStats[i].mean;
+      record.sigma = pathStats[i].sigma;
+      record.arrival = paths[i].endpoint.arrival;
+      record.slack = paths[i].endpoint.slack;
+      record.endpoint = analyzer.endpointName(paths[i].endpoint);
+      out.paths.push_back(std::move(record));
+    }
   }
   // Dynamic-power totals at the measured operating points (satellite of the
   // scenario work: the report and trade-off output carry power alongside
   // sigma/area). Deterministic per-instance streams from powerSeed.
+  const StagePhase phase("flow.measure.power");
   const power::PowerModel powerModel(characterizer_.model());
   out.power = power::analyzeDesignPower(
       result.design, analyzer, characterizer_, powerModel,

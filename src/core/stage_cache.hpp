@@ -7,6 +7,7 @@
 // process-wide single-flight group, and published bytes serve warm runs
 // bit-identically.
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -115,5 +116,33 @@ T cachedStage(artifact::ArtifactStore* store, artifact::MemoryArtifactCache* mem
   registry.counter(prefix + ".stores").inc();
   return finish(std::move(value));
 }
+
+/// One inner phase of a stage (e.g. "flow.measure.sta"): a trace span of
+/// that name plus, while metrics are on, the counter `<name>.ns` that the
+/// CLI's per-stage table lists under the stage. `name` must be a string
+/// literal.
+class StagePhase {
+ public:
+  explicit StagePhase(const char* name)
+      : span_(name),
+        name_(name),
+        timed_(obs::metricsEnabled()),
+        start_(timed_ ? obs::monotonicNanos() : 0) {}
+  ~StagePhase() {
+    if (timed_) {
+      obs::MetricsRegistry::global()
+          .counter(std::string(name_) + ".ns")
+          .add(obs::monotonicNanos() - start_);
+    }
+  }
+  StagePhase(const StagePhase&) = delete;
+  StagePhase& operator=(const StagePhase&) = delete;
+
+ private:
+  obs::TraceSpan span_;
+  const char* name_;
+  bool timed_;
+  std::uint64_t start_;
+};
 
 }  // namespace sct::core

@@ -1,8 +1,11 @@
 #include "power/power_stats.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "numeric/statistics.hpp"
+#include "parallel/parallel.hpp"
 #include "tuning/rectangle.hpp"
 
 namespace sct::power {
@@ -75,11 +78,16 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
                                const charlib::Characterizer& characterizer,
                                const PowerModel& model, double activity,
                                std::size_t samples, std::uint64_t seed) {
-  DesignPower out;
-  const double period = sta.clock().period;
+  // Serial pre-pass in instance order: fork() advances the master once per
+  // sampled instance, so each instance gets the same stream whatever the
+  // thread count of the sampling below.
+  struct Sampled {
+    const netlist::Instance* inst;
+    const charlib::CellSpec* spec;
+    numeric::Rng rng;
+  };
+  std::vector<Sampled> sampled;
   numeric::Rng master(seed);
-  double varSum = 0.0;  // (uW)^2
-
   for (std::size_t i = 0; i < design.instanceCount(); ++i) {
     const netlist::Instance& inst =
         design.instance(static_cast<netlist::InstIndex>(i));
@@ -87,30 +95,46 @@ DesignPower analyzeDesignPower(const netlist::Design& design,
     const charlib::CellSpec* spec =
         characterizer.specs().find(inst.cell->name());
     if (spec == nullptr) continue;  // cells outside the catalogue
-
-    // Operating point: worst input slew, total driven load.
-    double slew = sta.clock().clockSlew;
-    for (netlist::NetIndex in : inst.inputs) {
-      slew = std::max(slew, sta.netSlew(in));
-    }
-    double load = 0.0;
-    for (netlist::NetIndex outNet : inst.outputs) {
-      load += sta.netLoad(outNet);
-    }
-
-    // Per-instance energy statistics from fresh mismatch draws.
-    numeric::Rng instRng = master.fork(numeric::Rng::hashTag(inst.name));
-    numeric::RunningStats energy;
-    for (std::size_t k = 0; k < samples; ++k) {
-      energy.add(model.transitionEnergy(
-          *spec, slew, load, characterizer.model().drawLocal(*spec, instRng)));
-    }
-    const double toPower = activity / period;  // fJ -> uW
-    out.meanPower += energy.mean() * toPower;
-    const double sigmaPower = energy.stddev() * toPower;
-    varSum += sigmaPower * sigmaPower;
-    ++out.cells;
+    sampled.push_back(
+        {&inst, spec, master.fork(numeric::Rng::hashTag(inst.name))});
   }
+
+  // Per-instance energy statistics from fresh mismatch draws, one slot per
+  // instance (DESIGN.md §7).
+  const double toPower = activity / sta.clock().period;  // fJ -> uW
+  struct Moments {
+    double mean;   ///< uW
+    double sigma;  ///< uW
+  };
+  const std::vector<Moments> moments =
+      parallel::parallelMap(sampled.size(), [&](std::size_t j) {
+        Sampled& s = sampled[j];
+        // Operating point: worst input slew, total driven load.
+        double slew = sta.clock().clockSlew;
+        for (netlist::NetIndex in : s.inst->inputs) {
+          slew = std::max(slew, sta.netSlew(in));
+        }
+        double load = 0.0;
+        for (netlist::NetIndex outNet : s.inst->outputs) {
+          load += sta.netLoad(outNet);
+        }
+        numeric::RunningStats energy;
+        for (std::size_t k = 0; k < samples; ++k) {
+          energy.add(model.transitionEnergy(
+              *s.spec, slew, load,
+              characterizer.model().drawLocal(*s.spec, s.rng)));
+        }
+        return Moments{energy.mean() * toPower, energy.stddev() * toPower};
+      });
+
+  // Ordered fold: the serial loop's floating-point operations, in its order.
+  DesignPower out;
+  double varSum = 0.0;  // (uW)^2
+  for (const Moments& m : moments) {
+    out.meanPower += m.mean;
+    varSum += m.sigma * m.sigma;
+  }
+  out.cells = moments.size();
   out.sigmaPower = std::sqrt(varSum);
   return out;
 }

@@ -83,7 +83,8 @@ class ProtocolError : public std::runtime_error {
 // fields() list below it, in wire order. The list drives the codec (which
 // appends deadlineMillis) and the response-cache key (which leaves it out).
 // A new kind is one struct with its fields(), an entry in RequestKinds, one
-// TuningService::compute overload and one CLI parseArgs overload.
+// TuningService::compute overload and one CLI parseArgs overload (with its
+// requestFlags list).
 
 using artifact::FieldsOf;
 

@@ -46,10 +46,18 @@ class PathStatistics {
   /// Convolution along one traced path.
   [[nodiscard]] PathStats pathStats(const sta::TimingPath& path) const;
 
+  /// pathStats() of every path, computed on the pool; out[i] belongs to
+  /// paths[i] whatever the thread count.
+  [[nodiscard]] std::vector<PathStats> pathStats(
+      std::span<const sta::TimingPath> paths) const;
+
   /// Eq. (11) over a path population (typically one worst path per unique
   /// endpoint).
   [[nodiscard]] DesignStats designStats(
       std::span<const sta::TimingPath> paths) const;
+  /// Eq. (11) over already-computed path statistics, folded in path order.
+  [[nodiscard]] static DesignStats designStats(
+      std::span<const PathStats> paths) noexcept;
 
  private:
   const statlib::StatLibrary& library_;

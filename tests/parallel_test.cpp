@@ -1,19 +1,27 @@
 // Tests for the parallel execution layer: primitive correctness (coverage,
 // ordering, exceptions, nesting) and the determinism contract — serial and
 // multi-threaded runs of the Monte-Carlo characterization, stat-library
-// merge, library tuning and path Monte Carlo must agree bit for bit.
+// merge, library tuning, path Monte Carlo and the measure stage (per-path
+// statistics, design power) must agree bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "artifact/binary_format.hpp"
+#include "artifact/fields.hpp"
 #include "charlib/characterizer.hpp"
+#include "core/flow.hpp"
+#include "core/flow_job.hpp"
 #include "numeric/rng.hpp"
 #include "numeric/statistics.hpp"
 #include "parallel/parallel.hpp"
+#include "power/power_stats.hpp"
 #include "statlib/stat_library.hpp"
 #include "sta/sta.hpp"
 #include "synth/synthesis.hpp"
@@ -320,6 +328,64 @@ TEST_F(ParallelDeterminismTest, SerialFallbackMatchesThreaded) {
     parallel::setThreadCount(threads);
     EXPECT_EQ(build(), serial);
   }
+}
+
+/// The small-profile MCU synthesized at 8 ns, with the flow that built it
+/// (built once: the two measure-stage tests below share it).
+struct SmallMeasureFixture {
+  static constexpr double kPeriod = 8.0;
+  core::TuningFlow flow{core::makeFlowConfig(
+      {.profile = "small", .period = kPeriod, .mcCount = 6})};
+  sta::ClockSpec clock = [this] {
+    sta::ClockSpec c = flow.config().clock;
+    c.period = kPeriod;
+    return c;
+  }();
+  synth::SynthesisResult result =
+      synth::Synthesizer(flow.nominalLibrary()).run(flow.subject(), clock);
+
+  static SmallMeasureFixture& get() {
+    static SmallMeasureFixture fixture;
+    return fixture;
+  }
+};
+
+TEST_F(ParallelDeterminismTest, DesignPowerBitIdentical) {
+  SmallMeasureFixture& f = SmallMeasureFixture::get();
+  sta::TimingAnalyzer sta(f.result.design, f.flow.nominalLibrary(), f.clock);
+  ASSERT_TRUE(sta.analyze());
+  const power::PowerModel model(f.flow.characterizer().model());
+  const auto run = [&] {
+    return power::analyzeDesignPower(f.result.design, sta,
+                                     f.flow.characterizer(), model, 0.1, 50,
+                                     7);
+  };
+  const ScopedThreads scope(0);
+  const power::DesignPower serial = run();
+  ASSERT_GT(serial.cells, 1000u);  // enough instances for many chunks
+  parallel::setThreadCount(4);
+  const power::DesignPower threaded = run();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.meanPower),
+            std::bit_cast<std::uint64_t>(threaded.meanPower));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.sigmaPower),
+            std::bit_cast<std::uint64_t>(threaded.sigmaPower));
+  EXPECT_EQ(serial.cells, threaded.cells);
+}
+
+TEST_F(ParallelDeterminismTest, MeasurementBitIdentical) {
+  SmallMeasureFixture& f = SmallMeasureFixture::get();
+  const auto recordBytes = [&] {
+    const core::DesignMeasurement m =
+        f.flow.measure(f.result, SmallMeasureFixture::kPeriod);
+    EXPECT_GT(m.paths.size(), 1000u);
+    artifact::SctbWriter writer;
+    artifact::writeRecord(writer, m);
+    return writer.finish();
+  };
+  const ScopedThreads scope(0);
+  const std::vector<std::byte> serial = recordBytes();
+  parallel::setThreadCount(4);
+  EXPECT_EQ(recordBytes(), serial);
 }
 
 }  // namespace

@@ -81,21 +81,34 @@ namespace {
 
 using namespace sct;
 
-/// Minimal --flag value parser. Flags listed in `booleanFlags` take no
-/// value operand; `start` skips the command (and subcommand) words.
+/// The flags one command reads: `--name value` pairs and valueless
+/// `--name` switches.
+struct FlagSpec {
+  std::vector<std::string> values;
+  std::vector<std::string> booleans;
+};
+
+/// Minimal --flag value parser over a command's FlagSpec. A flag outside
+/// the spec is an error naming it, raised before the command runs; reading
+/// a flag the spec does not declare is a bug in this file (logic_error).
+/// `start` skips the command (and subcommand) words.
 class Args {
  public:
-  Args(int argc, char** argv, int start = 2,
-       std::vector<std::string> booleanFlags = {}) {
+  Args(int argc, char** argv, int start, const std::string& command,
+       FlagSpec spec)
+      : spec_(std::move(spec)) {
     for (int i = start; i < argc; ++i) {
       if (std::strncmp(argv[i], "--", 2) != 0) {
         throw std::runtime_error(std::string("expected flag, got ") + argv[i]);
       }
       const std::string name = argv[i] + 2;
-      if (std::find(booleanFlags.begin(), booleanFlags.end(), name) !=
-          booleanFlags.end()) {
+      if (contains(spec_.booleans, name)) {
         values_[name] = "1";
         continue;
+      }
+      if (!contains(spec_.values, name)) {
+        throw std::runtime_error("unknown flag --" + name + " for `sctune " +
+                                 command + "`");
       }
       if (i + 1 >= argc) {
         throw std::runtime_error("flag --" + name + " needs a value");
@@ -105,9 +118,11 @@ class Args {
   }
 
   [[nodiscard]] bool has(const std::string& key) const {
+    declared(key);
     return values_.contains(key);
   }
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const {
+    declared(key);
     const auto it = values_.find(key);
     return it != values_.end() ? std::optional(it->second) : std::nullopt;
   }
@@ -134,6 +149,17 @@ class Args {
   }
 
  private:
+  static bool contains(const std::vector<std::string>& names,
+                       const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  }
+  void declared(const std::string& key) const {
+    if (!contains(spec_.values, key) && !contains(spec_.booleans, key)) {
+      throw std::logic_error("flag --" + key + " is read but not declared");
+    }
+  }
+
+  FlagSpec spec_;
   std::map<std::string, std::string> values_;
 };
 
@@ -209,6 +235,14 @@ void printStageTable(const obs::MetricsSnapshot& snapshot) {
             snapshot.counterValue(prefix + "misses")),
         static_cast<unsigned long long>(
             snapshot.counterValue(prefix + "stores")));
+    if (std::strcmp(stage, "measure") != 0) continue;
+    // Inner phases of a computed measurement (absent on a warm hit).
+    for (const char* phase : {"sta", "paths", "path_stats", "power"}) {
+      const std::string name = std::string("flow.measure.") + phase + ".ns";
+      if (!snapshot.hasCounter(name)) continue;
+      std::printf("  %-10s %8.2f\n", phase,
+                  static_cast<double>(snapshot.counterValue(name)) / 1e6);
+    }
   }
 }
 
@@ -470,9 +504,11 @@ core::FlowJob flowJobFromArgs(const Args& args, bool withMethod) {
   core::FlowJob job;
   job.profile = args.get("profile").value_or("full");
   job.workload = args.get("workload").value_or(job.workload);
-  if (const auto method = args.get("method"); method && withMethod) {
-    job.method = *method;
-    job.value = args.requireReal("value");
+  if (withMethod) {
+    if (const auto method = args.get("method")) {
+      job.method = *method;
+      job.value = args.requireReal("value");
+    }
   }
   job.mcCount = args.getUint("mc", 0);  // 0 = profile default
   job.mcSeed = args.getUint("seed", job.mcSeed);
@@ -535,6 +571,52 @@ void parseArgs(const Args& args, server::PingRequest& r) {
   r.sleepMillis = args.getUint("sleep-ms", 0);
 }
 
+// The flags each parser above reads (plus --json where the request has
+// it, see requestFromArgs).
+std::vector<std::string> jobFlags(bool withMethod,
+                                  std::vector<std::string> extra) {
+  extra.insert(extra.end(), {"profile", "workload", "mc", "seed", "lint-mode"});
+  if (withMethod) extra.insert(extra.end(), {"method", "value"});
+  return extra;
+}
+
+FlagSpec requestFlags(std::type_identity<server::FlowRequest>) {
+  return {.values = jobFlags(true, {"period"})};
+}
+
+FlagSpec requestFlags(std::type_identity<server::ScenarioRequest>) {
+  return {.values = jobFlags(true, {"period", "periods", "scenarios",
+                                    "tune-range-min", "tune-range-max",
+                                    "tune-step", "tune-area", "trials"})};
+}
+
+FlagSpec requestFlags(std::type_identity<server::EvolveRequest>) {
+  return {.values = jobFlags(false, {"period", "population", "generations",
+                                     "objectives", "gene-min", "gene-max",
+                                     "evo-seed"})};
+}
+
+FlagSpec requestFlags(std::type_identity<server::LintRequest>) {
+  return {.values = {"type", "path"}};
+}
+
+FlagSpec requestFlags(std::type_identity<server::StaRequest>) {
+  return {.values = {"lib", "netlist", "period"}};
+}
+
+FlagSpec requestFlags(std::type_identity<server::PingRequest>) {
+  return {.values = {"echo", "sleep-ms"}};
+}
+
+template <class R>
+FlagSpec requestFlagSpec() {
+  FlagSpec spec = requestFlags(std::type_identity<R>{});
+  if constexpr (requires(R request) { request.json; }) {
+    spec.booleans.emplace_back("json");
+  }
+  return spec;
+}
+
 template <class R>
 R requestFromArgs(const Args& args) {
   R request;
@@ -558,6 +640,19 @@ void printCacheStats(const core::TuningFlow& flow) {
   } else {
     std::printf("cache: disabled\n");
   }
+}
+
+/// The local job command's flags: its request's plus the cache and report
+/// flags the command itself reads.
+template <class R>
+FlagSpec jobCommandFlags() {
+  FlagSpec spec = requestFlagSpec<R>();
+  spec.values.insert(spec.values.end(), {"cache-dir", "report"});
+  spec.booleans.emplace_back("no-cache");
+  if constexpr (std::is_same_v<R, server::FlowRequest>) {
+    spec.booleans.emplace_back("cache-stats");
+  }
+  return spec;
 }
 
 /// `sctune flow|scenario|evolve`: the job runs through the same runner the
@@ -681,20 +776,36 @@ int sendRequest(server::Client& client, const Args& args) {
   return finishClientCall(client.send(request), args);
 }
 
+/// The flags of `sctune client <op>`. An unknown op throws here, before
+/// anything connects.
+FlagSpec clientFlags(const std::string& op) {
+  FlagSpec spec;
+  if (op != "health" && op != "shutdown" &&
+      !server::anyRequestKind([&]<class R>(std::type_identity<R>) {
+        if (op != R::kName) return false;
+        spec = requestFlagSpec<R>();
+        spec.values.emplace_back("deadline-ms");
+        return true;
+      })) {
+    throw std::runtime_error("unknown client op '" + op + "' (" + kClientOps +
+                             ")");
+  }
+  spec.values.insert(spec.values.end(), {"socket", "tcp-port", "report", "out"});
+  return spec;
+}
+
+/// `op` was validated by clientFlags().
 int cmdClient(const std::string& op, const Args& args) {
   server::Client client = connectClient(args);
   if (op == "health") return finishClientCall(client.health(), args);
   if (op == "shutdown") return finishClientCall(client.shutdown(), args);
   int code = 1;
-  if (server::anyRequestKind([&]<class R>(std::type_identity<R>) {
-        if (op != R::kName) return false;
-        code = sendRequest<R>(client, args);
-        return true;
-      })) {
-    return code;
-  }
-  throw std::runtime_error("unknown client op '" + op + "' (" + kClientOps +
-                           ")");
+  server::anyRequestKind([&]<class R>(std::type_identity<R>) {
+    if (op != R::kName) return false;
+    code = sendRequest<R>(client, args);
+    return true;
+  });
+  return code;
 }
 
 int usage() {
@@ -741,7 +852,8 @@ int usage() {
       "                flow, scenario and evolve take the local command's\n"
       "                flags; lint --path F --type T [--json]; sta --lib F\n"
       "                --netlist F --period <ns>; ping [--sleep-ms N\n"
-      "                --echo TEXT]; all ops accept --deadline-ms N\n"
+      "                --echo TEXT]; all but health and shutdown accept\n"
+      "                --deadline-ms N\n"
       "  cache stats   --cache-dir DIR [--json]\n"
       "  cache gc      --cache-dir DIR [--max-bytes N] [--max-age seconds]\n"
       "                [--json]\n\n"
@@ -749,12 +861,51 @@ int usage() {
       "load every stage artifact and are bit-identical to cold runs.\n"
       "every command accepts --threads <N|serial|auto> (default: the\n"
       "SCT_THREADS environment variable); results do not depend on it.\n"
-      "flow, synth and lint accept --trace-out trace.json (Chrome/Perfetto\n"
+      "every command also accepts --trace-out trace.json (Chrome/Perfetto\n"
       "span trace), --metrics-out metrics.json and --obs-off; SCT_TRACE=1 /\n"
       "SCT_METRICS=1 enable collection without an output file. Observability\n"
-      "never changes any numeric artifact.\n",
+      "never changes any numeric artifact. A flag the command does not read\n"
+      "is an error.\n",
       kClientOps);
   return 1;
+}
+
+/// Every flag `sctune <command>` reads; nullopt for an unknown command.
+std::optional<FlagSpec> commandFlags(const std::string& command,
+                                     const std::string& clientOp) {
+  FlagSpec spec;
+  if (command == "characterize") {
+    spec.values = {"out", "corner", "stat-out", "mc", "seed"};
+  } else if (command == "generate") {
+    spec.values = {"design", "out"};
+  } else if (command == "tune") {
+    spec.values = {"stat", "method", "value", "out", "script"};
+  } else if (command == "synth") {
+    spec.values = {"lib", "constraints", "design", "period", "out"};
+  } else if (command == "report") {
+    spec.values = {"lib", "stat", "netlist", "period", "out"};
+  } else if (command == "lint") {
+    spec = {.values = {"type", "ref", "out"}, .booleans = {"json", "sarif"}};
+  } else if (command == "flow") {
+    spec = jobCommandFlags<server::FlowRequest>();
+  } else if (command == "scenario") {
+    spec = jobCommandFlags<server::ScenarioRequest>();
+  } else if (command == "evolve") {
+    spec = jobCommandFlags<server::EvolveRequest>();
+  } else if (command == "cache stats") {
+    spec = {.values = {"cache-dir"}, .booleans = {"json"}};
+  } else if (command == "cache gc") {
+    spec = {.values = {"cache-dir", "max-bytes", "max-age"},
+            .booleans = {"json"}};
+  } else if (command == "client") {
+    spec = clientFlags(clientOp);
+  } else {
+    return std::nullopt;
+  }
+  // Read by main() and setupObservability() for every command.
+  spec.values.insert(spec.values.end(), {"threads", "trace-out", "metrics-out"});
+  spec.booleans.emplace_back("obs-off");
+  return spec;
 }
 
 }  // namespace
@@ -790,18 +941,14 @@ int main(int argc, char** argv) {
     start = 3;
   }
   try {
-    std::vector<std::string> booleans;
-    if (command == "flow") {
-      booleans = {"no-cache", "cache-stats", "obs-off"};
+    std::optional<FlagSpec> flags = commandFlags(command, clientOp);
+    if (!flags) {
+      std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
+      return usage();
     }
-    if (command == "scenario" || command == "evolve") {
-      booleans = {"no-cache", "json", "obs-off"};
-    }
-    if (command == "synth") booleans = {"obs-off"};
-    if (command == "lint") booleans = {"json", "sarif", "obs-off"};
-    if (command == "client") booleans = {"json"};
-    if (command == "cache stats" || command == "cache gc") booleans = {"json"};
-    const Args args(argc, argv, start, std::move(booleans));
+    const Args args(argc, argv, start,
+                    clientOp.empty() ? command : command + " " + clientOp,
+                    std::move(*flags));
     // Worker-pool size for the parallelized kernels. The flag takes
     // precedence over SCT_THREADS; results are identical either way.
     if (const auto threads = args.get("threads")) {
@@ -822,11 +969,7 @@ int main(int argc, char** argv) {
     else if (command == "evolve") code = cmdJob<server::EvolveRequest>(args);
     else if (command == "cache stats") code = cmdCacheStats(args);
     else if (command == "cache gc") code = cmdCacheGc(args);
-    else if (command == "client") code = cmdClient(clientOp, args);
-    else {
-      std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());
-      return usage();
-    }
+    else code = cmdClient(clientOp, args);  // commandFlags() admits no other
     finishObservability(obsOptions);
     return code;
   } catch (const std::exception& e) {
